@@ -26,16 +26,12 @@ from .divergence import (
 )
 from .montecarlo import RateEstimate, RateVerdict, SimPlan, compare_rates, simulate_paths
 from .rate_solver import (
-    FixedDist,
-    RateProgram,
     RateReport,
     Residuals,
-    Unconstrained,
     minimal_rate,
     nonvacuous,
     rate_at,
     sharpness_check,
-    solve_rate_program,
     tail_rate,
     worst_case_kernel,
 )
@@ -61,17 +57,14 @@ __all__ = [
     "DivergenceResult",
     "DualPotential",
     "Envelope",
-    "FixedDist",
     "Kernel",
     "MetricSpace",
     "RateEstimate",
-    "RateProgram",
     "RateReport",
     "RateVerdict",
     "Residuals",
     "SimPlan",
     "TransportPlan",
-    "Unconstrained",
     "ValidationError",
     "Variant",
     "Violation",
@@ -94,7 +87,6 @@ __all__ = [
     "robust_functional_bound",
     "sharpness_check",
     "simulate_paths",
-    "solve_rate_program",
     "stationary",
     "tail_rate",
     "validate_chain",

@@ -223,6 +223,10 @@ def validate_metric(space: MetricSpace) -> list[Violation]:
     if d.shape != (n, n):
         out.append(Violation("$.metric", f"expected shape {(n, n)}, got {d.shape}"))
         return out
+    for i, j in np.argwhere(~np.isfinite(d)):
+        out.append(Violation(f"$.metric[{i}][{j}]", "non-finite distance"))
+    if out:
+        return out
     for i in range(n):
         if d[i, i] != 0.0:
             out.append(Violation(f"$.metric[{i}][{i}]", "nonzero diagonal", float(abs(d[i, i]))))
@@ -257,7 +261,9 @@ def validate_dist(dist: Dist, path: str = "$.pi0") -> list[Violation]:
         out.append(Violation(path, f"expected a vector, got shape {p.shape}"))
         return out
     for i, v in enumerate(p):
-        if v < 0.0:
+        if not np.isfinite(v):
+            out.append(Violation(f"{path}[{i}]", "non-finite mass"))
+        elif v < 0.0:
             out.append(Violation(f"{path}[{i}]", "negative mass", float(-v)))
     gap = abs(float(p.sum()) - 1.0)
     if gap > PROB_ATOL:
@@ -286,7 +292,9 @@ def validate_chain(spec: ChainSpec) -> list[Violation]:
         out.append(Violation("$.pi0", f"length {spec.pi0.n} does not match {n} states"))
     if spec.kernel.rows.ndim == 2 and spec.kernel.n != n:
         out.append(Violation("$.kernel", f"size {spec.kernel.n} does not match {n} states"))
-    if spec.radius < 0.0:
+    if not np.isfinite(spec.radius):
+        out.append(Violation("$.r", "non-finite robustness radius"))
+    elif spec.radius < 0.0:
         out.append(Violation("$.r", "negative robustness radius", float(-spec.radius)))
     return out
 

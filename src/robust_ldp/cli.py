@@ -58,9 +58,17 @@ def _need(cond: bool, path: str, message: str):
         raise InputError(path, message)
 
 
+def _finite(value: float, path: str) -> float:
+    _need(math.isfinite(value), path, "expected a finite number")
+    return value
+
+
 def _as_number(value, path: str) -> float:
     _need(isinstance(value, (int, float)) and not isinstance(value, bool), path, "expected a number")
-    return float(value)
+    try:
+        return _finite(float(value), path)
+    except OverflowError:  # an integer literal beyond the float range
+        raise InputError(path, "expected a finite number") from None
 
 
 def _as_matrix(value, n: int, path: str) -> np.ndarray:
@@ -118,7 +126,7 @@ def parse_dist(arg: str, space: MetricSpace, flag: str) -> Dist:
     if len(parts) != space.n:
         raise InputError(flag, f"expected a state label or {space.n} comma-separated masses")
     try:
-        values = [float(p) for p in parts]
+        values = [_finite(float(p), flag) for p in parts]
     except ValueError:
         raise InputError(flag, "expected numeric masses") from None
     try:
@@ -312,11 +320,14 @@ def cmd_check(args) -> int:
     return EXIT_OK if (report.m1_holds and report.m2_holds) else EXIT_CONDITION
 
 
+def parse_ball(args, space: MetricSpace) -> BallSet:
+    _need(_finite(args.kappa, "--kappa") >= 0.0, "--kappa", "must be nonnegative")
+    return BallSet(parse_dist(args.center, space, "--center"), args.kappa)
+
+
 def cmd_rate(args) -> int:
     spec = load_chain_file(args.chain)
-    ball = BallSet(parse_dist(args.center, spec.space, "--center"), args.kappa)
-    if args.kappa < 0:
-        raise InputError("--kappa", "must be nonnegative")
+    ball = parse_ball(args, spec.space)
     report = tail_rate(spec, ball, _entropic_variant(args.model))
     payload = rate_report_to_dict(report)
     payload["nonvacuous"] = bool(report.value > 1e-6)
@@ -337,7 +348,7 @@ def cmd_envelope(args) -> int:
         if len(parts) != spec.space.n:
             raise InputError("--weights", f"expected {spec.space.n} comma-separated numbers")
         try:
-            weights = [float(p) for p in parts]
+            weights = [_finite(float(p), "--weights") for p in parts]
         except ValueError:
             raise InputError("--weights", "expected numeric weights") from None
         best, argmax = robust_functional_bound(spec, variant, weights)
@@ -361,7 +372,8 @@ def cmd_envelope(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec = load_chain_file(args.chain)
-    ball = BallSet(parse_dist(args.center, spec.space, "--center"), args.kappa)
+    ball = parse_ball(args, spec.space)
+    _finite(args.rel_tol, "--rel-tol")
     variant = _entropic_variant(args.model)
     if args.worst_case:
         solved = tail_rate(spec, ball, variant)

@@ -6,9 +6,6 @@ W1-radius ``r`` of ``mu``; the absolutely-continuous (AC) variant restricts
 the minimization to distributions supported inside ``mu``'s support.
 Indicator variants score 0/infinity on ball membership and drive the
 law-of-large-numbers machinery instead of rate computations.
-
-Besides the solvers, this module ships brute-force grid oracles for
-two-state spaces, used to cross-check the convex programs.
 """
 
 from __future__ import annotations
@@ -114,6 +111,22 @@ def _diag_plan(space: MetricSpace, mu: Dist) -> TransportPlan:
     return TransportPlan(np.diag(mu.p), 0.0)
 
 
+def coupling_start(
+    mass: np.ndarray, rows: np.ndarray, cols: np.ndarray, dsub: np.ndarray, r: float, spread: float
+) -> tuple[np.ndarray, float]:
+    """Strictly feasible start for a budgeted coupling of ``mass`` (on
+    ``rows``) into ``cols``: each row keeps most of its mass in place and
+    blends a small uniform share, scaled by the uniform-spread cost
+    ``spread`` so that the cost stays below half the budget ``r`` per unit
+    mass.  Returns the coupling and its cost under ``dsub``."""
+    eps = min(0.5, 0.5 * r / max(spread, 1e-300))
+    g = np.zeros((rows.size, cols.size))
+    for a, i in enumerate(rows):
+        g[a] = mass[i] * eps / cols.size
+        g[a, np.searchsorted(cols, i)] += mass[i] * (1.0 - eps)
+    return g, float(np.sum(dsub * g))
+
+
 def beta(space: MetricSpace, nu: Dist, mu: Dist, model: DivergenceModel) -> DivergenceResult:
     """The robust divergence of ``nu`` against the ball around ``mu``.
 
@@ -169,18 +182,9 @@ def beta(space: MetricSpace, nu: Dist, mu: Dist, model: DivergenceModel) -> Dive
             terms.append(Term(Affine(gid[:, jj], np.ones(ni)), numer_const=float(nu.p[j])))
             const += float(nu.p[j] * math.log(nu.p[j]))
 
-    # Strictly feasible start: near-diagonal couplings with a small uniform
-    # blend, scaled so the cost stays below half the budget.
-    unif_cost = float(mu.p[rows] @ dsub.mean(axis=1))
-    eps = min(0.5, 0.5 * r / max(unif_cost, 1e-300))
-    z0 = np.zeros(nv)
-    diag_col = {j: jj for jj, j in enumerate(cols)}
-    g0 = np.zeros((ni, nj))
-    for ii, i in enumerate(rows):
-        g0[ii] = mu.p[i] * eps / nj
-        g0[ii, diag_col[i]] += mu.p[i] * (1.0 - eps)
-    z0[: ni * nj] = g0.ravel()
-    z0[slack] = r - float(np.sum(dsub * g0))
+    spread = float(mu.p[rows] @ dsub.mean(axis=1))
+    g0, cost = coupling_start(mu.p, rows, cols, dsub, r, spread)
+    z0 = np.append(g0.ravel(), r - cost)
 
     prog = _entropic.EntropicProgram(nv, a, b, terms, constant=const)
     sol = _entropic.solve(prog, z0=z0)
@@ -246,82 +250,4 @@ def beta_chain(
                 return math.inf
             total += w * b
         weights = weights[..., None] * lv
-    return total
-
-
-def beta_grid_two_state(
-    space: MetricSpace, nu: Dist, mu: Dist, model: DivergenceModel, step: float = 1e-5
-) -> float:
-    """Brute-force oracle for ``beta`` on two-state spaces.
-
-    Grids the one-parameter family of candidate references inside the W1
-    ball, which on two points is an interval of first-coordinate masses.
-    """
-    if space.n != 2:
-        raise ValueError("grid oracle is for two-state spaces")
-    d = space.dist[0, 1]
-    r = model.effective_radius
-    if model.is_indicator:
-        inside = abs(nu.p[0] - mu.p[0]) * d <= r + BALL_ATOL
-        if inside and model.restrict_support:
-            inside = bool(np.all(nu.support() <= mu.support()))
-        return 0.0 if inside else math.inf
-    lo = max(0.0, mu.p[0] - r / d)
-    hi = min(1.0, mu.p[0] + r / d)
-    if model.restrict_support:
-        if mu.p[0] <= MASS_ZERO:
-            lo, hi = 0.0, 0.0
-        if mu.p[1] <= MASS_ZERO:
-            lo, hi = 1.0, 1.0
-    ts = np.append(np.arange(lo, hi, step), hi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v0 = np.where(nu.p[0] > MASS_ZERO, nu.p[0] * (np.log(nu.p[0]) - np.log(ts)), 0.0)
-        v1 = np.where(
-            nu.p[1] > MASS_ZERO, nu.p[1] * (np.log(nu.p[1]) - np.log(1.0 - ts)), 0.0
-        )
-    vals = np.where(np.isnan(v0 + v1), np.inf, v0 + v1)
-    return float(np.min(vals))
-
-
-def beta_chain_grid_two_state(
-    space: MetricSpace,
-    levels: list[np.ndarray],
-    theta: Dist,
-    kernel: Kernel,
-    model: DivergenceModel,
-    step: float = 1e-3,
-) -> float:
-    """Brute-force oracle for two-step ``beta_chain`` on two-state spaces:
-    directly minimizes the joint relative entropy over gridded ambiguity-set
-    elements (initial law and both kernel rows)."""
-    if space.n != 2 or len(levels) != 2:
-        raise ValueError("oracle covers two states and two steps")
-    if model.is_indicator:
-        raise ValueError("oracle covers the entropic variants")
-    d = space.dist[0, 1]
-    r = model.effective_radius
-    joint = levels[0][:, None] * np.asarray(levels[1])
-
-    def interval(center_first: float):
-        return max(0.0, center_first - r / d), min(1.0, center_first + r / d)
-
-    def min_neg_log(w0: float, w1: float, lo: float, hi: float) -> float:
-        # minimize -w0 ln t - w1 ln(1-t) over the gridded interval
-        ts = np.append(np.arange(lo, hi, step), hi)
-        with np.errstate(divide="ignore"):
-            vals = np.zeros_like(ts)
-            if w0 > MASS_ZERO:
-                vals = vals - w0 * np.log(ts)
-            if w1 > MASS_ZERO:
-                vals = vals - w1 * np.log(1.0 - ts)
-        return float(np.min(vals))
-
-    const = 0.0
-    for w in joint.ravel():
-        if w > MASS_ZERO:
-            const += w * math.log(w)
-    total = const
-    total += min_neg_log(joint[0].sum(), joint[1].sum(), *interval(theta.p[0]))
-    for x in range(2):
-        total += min_neg_log(joint[x, 0], joint[x, 1], *interval(kernel.rows[x, 0]))
     return total

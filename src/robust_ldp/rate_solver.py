@@ -12,8 +12,9 @@ scaled variables
 
 with objective ``sum tau ln(tau / sigma)``, which is jointly convex.  The
 tail-rate variant additionally frees ``nu`` inside a Wasserstein ball via
-one more coupling.  Zero rates are detected exactly by a feasibility LP
-before any barrier iteration runs.
+one more coupling.  The variable layout is ``set_chain.InvariantPolytope``,
+which also builds the law-of-large-numbers LPs.  Zero rates are detected
+exactly by a feasibility LP before any barrier iteration runs.
 """
 
 from __future__ import annotations
@@ -24,38 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _entropic
-from ._entropic import Affine, Term
+from ._entropic import Term
 from .chain_core import MASS_ZERO, BallSet, ChainSpec, Dist, Kernel
 from .divergence import DivergenceModel, Variant, rel_entropy, resolve_model
-from .set_chain import invariant_ball_lp, stationary
+from .set_chain import NU_MASS_TOL, InvariantPolytope, invariant_ball_lp, stationary
 from .transport import w1
-
-# States with reported mass at or below this are treated as unvisited:
-# their kernel rows carry no constraint and are reported as the nominal ones.
-NU_MASS_TOL = 1e-10
 
 # Support threshold for solver outputs (barrier iterates park vanishing
 # coordinates at the complementarity scale, well below this).
 SUPPORT_TOL = 1e-7
-
-
-@dataclass(frozen=True)
-class FixedDist:
-    """Rate evaluation target: a single occupation law."""
-
-    nu: Dist
-
-
-@dataclass(frozen=True)
-class Unconstrained:
-    """Rate minimization over all occupation laws."""
-
-
-@dataclass(frozen=True)
-class RateProgram:
-    spec: ChainSpec
-    model: DivergenceModel | Variant
-    target: BallSet | FixedDist | Unconstrained
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,10 +90,11 @@ def _zero_rate_report(nu: Dist, q: Kernel) -> RateReport:
     return RateReport(0.0, nu, q, q, Residuals(0.0, 0.0, invariance), True)
 
 
-def _infinite_report(spec: ChainSpec, nu: Dist) -> RateReport:
-    return RateReport(
-        math.inf, nu, spec.kernel, spec.kernel, Residuals(0.0, 0.0, 0.0), True
-    )
+def _infinite_report(spec: ChainSpec, nu: Dist, proven: bool) -> RateReport:
+    """+infinity, proven by infeasibility, or unproven after a degenerate
+    solve (then not converged, with infinite residuals)."""
+    res = 0.0 if proven else math.inf
+    return RateReport(math.inf, nu, spec.kernel, spec.kernel, Residuals(res, res, 0.0), proven)
 
 
 def _try_zero_rate(
@@ -146,83 +125,37 @@ def _try_zero_rate(
     if res.status != 0:  # pragma: no cover - feasibility LPs are bounded
         raise RuntimeError(f"zero-rate LP failed: {res.message}")
     nu, q = lp.extract(res.x)
-    if fixed_nu is not None:
-        nu = fixed_nu
-    return _zero_rate_report(nu, q)
+    return _zero_rate_report(nu if fixed_nu is None else fixed_nu, q)
 
 
-class _Blocks:
-    """Variable layout shared by the fixed-law and free-law rate programs."""
-
-    def __init__(self, spec: ChainSpec, model: DivergenceModel, states: np.ndarray):
-        self.spec = spec
-        self.n = spec.space.n
-        self.r = model.effective_radius
-        self.restrict = model.restrict_support
-        self.states = states  # states allowed to carry mass
-        pk = spec.kernel.rows
-        self.count = 0
-        self.tau_ids = -np.ones((self.n, self.n), dtype=np.int64)
-        for x in states:
-            for y in states:
-                if self.restrict and pk[x, y] <= MASS_ZERO:
-                    continue
-                self.tau_ids[x, y] = self.take(1)[0]
-        if self.r > 0.0:
-            self.rows_x = {x: np.where(pk[x] > MASS_ZERO)[0] for x in states}
-            self.cols_x = {
-                x: (np.where(pk[x] > MASS_ZERO)[0] if self.restrict else np.arange(self.n))
-                for x in states
-            }
-            self.gam_ids = {
-                x: self.take(self.rows_x[x].size * self.cols_x[x].size).reshape(
-                    self.rows_x[x].size, -1
-                )
-                for x in states
-            }
-            self.slack_ids = {x: self.take(1)[0] for x in states}
-
-    def take(self, k: int) -> np.ndarray:
-        ids = np.arange(self.count, self.count + k)
-        self.count += k
-        return ids
-
-    def sigma_affine(self, x: int, y: int, nu_ids: np.ndarray | None, nu_fixed) -> Affine:
-        """The worst-case row mass sigma[x, y] as an affine expression."""
-        if self.r > 0.0:
-            jj = np.where(self.cols_x[x] == y)[0][0]
-            col = self.gam_ids[x][:, jj]
-            return Affine(col, np.ones(col.size))
-        p = float(self.spec.kernel.rows[x, y])
-        if nu_ids is None:
-            return Affine(np.zeros(0, dtype=np.int64), np.zeros(0), p * float(nu_fixed[x]))
-        return Affine(nu_ids[x : x + 1], np.array([p]))
-
-
-def _extract(
-    spec: ChainSpec,
-    blocks: _Blocks,
-    z: np.ndarray,
-    nu: np.ndarray,
-    sol: _entropic.EntropicSolution,
+def _solve_rate(
+    spec: ChainSpec, model: DivergenceModel, ball: BallSet | None, fixed_nu: Dist | None
 ) -> RateReport:
-    n = spec.space.n
-    q = spec.kernel.rows.copy()
-    pihat = spec.kernel.rows.copy()
-    active = [x for x in blocks.states if nu[x] > NU_MASS_TOL]
-    for x in active:
-        row = np.zeros(n)
-        mask = blocks.tau_ids[x] >= 0
-        row[mask] = z[blocks.tau_ids[x][mask]]
-        q[x] = row / nu[x]
-        if blocks.r > 0.0:
-            sig = np.zeros(n)
-            sig[blocks.cols_x[x]] = z[blocks.gam_ids[x]].sum(axis=0)
-            pihat[x] = sig / nu[x]
+    """Minimize ``sum tau ln(tau / sigma)`` over the invariant-kernel
+    polytope: at a fixed law, or over all laws, optionally inside a ball."""
+    zero = _try_zero_rate(spec, model, ball, fixed_nu)
+    if zero is not None:
+        return zero
+
+    poly = InvariantPolytope(spec, model.restrict_support, model.effective_radius, ball, fixed_nu)
+    a_eq, b_eq = poly.equalities()
+    terms = [Term(poly.sigma(x, y), numer_var=int(poly.tau_ids[x, y])) for x, y in poly.taus()]
+    prog = _entropic.EntropicProgram(poly.count, a_eq, b_eq, terms)
+    sol = _entropic.solve(prog, z0=poly.start())
+    if not sol.feasible or sol.status == "degenerate":
+        if fixed_nu is not None:
+            shown = fixed_nu
+        else:
+            shown = ball.center if ball is not None else spec.pi0
+        return _infinite_report(spec, shown, proven=not sol.feasible)
+
+    nu = sol.z[poly.nu_ids] if fixed_nu is None else fixed_nu.p
+    q, pihat = poly.kernels(sol.z, nu)
     nu_dist = Dist(np.clip(nu, 0.0, None) / np.clip(nu, 0.0, None).sum())
     value = 0.0
-    for x in active:
-        value += nu[x] * rel_entropy(Dist(q[x]), Dist(pihat[x]))
+    for x in poly.states:
+        if nu[x] > NU_MASS_TOL:
+            value += nu[x] * rel_entropy(Dist(q[x]), Dist(pihat[x]))
     invariance = float(np.abs(nu_dist.p @ q - nu_dist.p).sum())
     residuals = Residuals(sol.kkt_residual, sol.primal_residual, invariance)
     return RateReport(value, nu_dist, Kernel(q), Kernel(pihat), residuals, sol.converged)
@@ -236,80 +169,7 @@ def rate_at(
     _require_entropic(model)
     if nu.n != spec.space.n:
         raise ValueError("dimension mismatch")
-    zero = _try_zero_rate(spec, model, None, nu)
-    if zero is not None:
-        return zero
-
-    states = np.where(nu.p > MASS_ZERO)[0]
-    blocks = _Blocks(spec, model, states)
-    r = blocks.r
-    pk = spec.kernel.rows
-    d = spec.space.dist
-
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-
-    def eq(ids, coefs, b):
-        row = np.zeros(blocks.count)
-        row[ids] += coefs
-        rows.append(row)
-        rhs.append(b)
-
-    for x in states:
-        ids = blocks.tau_ids[x][blocks.tau_ids[x] >= 0]
-        eq(ids, 1.0, float(nu.p[x]))
-    for y in states:
-        ids = blocks.tau_ids[:, y][blocks.tau_ids[:, y] >= 0]
-        eq(ids, 1.0, float(nu.p[y]))
-    if r > 0.0:
-        for x in states:
-            for a, i in enumerate(blocks.rows_x[x]):
-                eq(blocks.gam_ids[x][a], 1.0, float(nu.p[x] * pk[x, i]))
-            cost_ids = np.concatenate([blocks.gam_ids[x].ravel(), [blocks.slack_ids[x]]])
-            cost_coefs = np.concatenate(
-                [d[np.ix_(blocks.rows_x[x], blocks.cols_x[x])].ravel(), [1.0]]
-            )
-            eq(cost_ids, cost_coefs, float(r * nu.p[x]))
-
-    terms = []
-    for x in states:
-        for y in states:
-            t_id = blocks.tau_ids[x, y]
-            if t_id < 0:
-                continue
-            terms.append(Term(blocks.sigma_affine(x, y, None, nu.p), numer_var=int(t_id)))
-
-    z0 = None
-    if r > 0.0 and not blocks.restrict:
-        # Strictly feasible start: product occupation plus near-diagonal
-        # couplings whose cost stays inside half the budget.
-        z0 = np.zeros(blocks.count)
-        for x in states:
-            for y in states:
-                z0[blocks.tau_ids[x, y]] = nu.p[x] * nu.p[y]
-        dbar = max(
-            float(pk[x, blocks.rows_x[x]] @ d[np.ix_(blocks.rows_x[x], blocks.cols_x[x])].mean(axis=1))
-            for x in states
-        )
-        eps = min(0.5, 0.5 * r / max(dbar, 1e-300))
-        for x in states:
-            g = np.zeros((blocks.rows_x[x].size, blocks.cols_x[x].size))
-            for a, i in enumerate(blocks.rows_x[x]):
-                g[a] = nu.p[x] * pk[x, i] * eps / blocks.cols_x[x].size
-                g[a, i] += nu.p[x] * pk[x, i] * (1.0 - eps)
-            z0[blocks.gam_ids[x].ravel()] = g.ravel()
-            cost = float(np.sum(d[np.ix_(blocks.rows_x[x], blocks.cols_x[x])] * g))
-            z0[blocks.slack_ids[x]] = r * nu.p[x] - cost
-
-    prog = _entropic.EntropicProgram(blocks.count, np.array(rows), np.array(rhs), terms)
-    sol = _entropic.solve(prog, z0=z0)
-    if not sol.feasible:
-        return _infinite_report(spec, nu)
-    if sol.status == "degenerate":
-        return RateReport(
-            math.inf, nu, spec.kernel, spec.kernel, Residuals(math.inf, math.inf, 0.0), False
-        )
-    return _extract(spec, blocks, sol.z, nu.p, sol)
+    return _solve_rate(spec, model, None, nu)
 
 
 def tail_rate(
@@ -325,7 +185,7 @@ def tail_rate(
         raise ValueError("ball radius must be nonnegative")
     if ball.kappa == 0.0:
         return rate_at(spec, ball.center, model)
-    return _free_nu_rate(spec, model, ball)
+    return _solve_rate(spec, model, ball, None)
 
 
 def minimal_rate(
@@ -335,105 +195,7 @@ def minimal_rate(
     assumptions, attained at any invariant law of a feasible kernel)."""
     model = resolve_model(model, spec.radius)
     _require_entropic(model)
-    return _free_nu_rate(spec, model, None)
-
-
-def solve_rate_program(program: RateProgram) -> RateReport:
-    target = program.target
-    if isinstance(target, FixedDist):
-        return rate_at(program.spec, target.nu, program.model)
-    if isinstance(target, BallSet):
-        return tail_rate(program.spec, target, program.model)
-    if isinstance(target, Unconstrained):
-        return minimal_rate(program.spec, program.model)
-    raise TypeError(f"unsupported target {target!r}")
-
-
-def _free_nu_rate(
-    spec: ChainSpec, model: DivergenceModel, ball: BallSet | None
-) -> RateReport:
-    zero = _try_zero_rate(spec, model, ball, None)
-    if zero is not None:
-        return zero
-
-    n = spec.space.n
-    pk = spec.kernel.rows
-    d = spec.space.dist
-    states = np.arange(n)
-    blocks = _Blocks(spec, model, states)
-    nu_ids = blocks.take(n)
-    if ball is not None:
-        cols0 = np.where(ball.center.support())[0]
-        g0_ids = blocks.take(n * cols0.size).reshape(n, cols0.size)
-        s0_id = blocks.take(1)[0]
-    r = blocks.r
-
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-
-    def eq(ids, coefs, b):
-        row = np.zeros(blocks.count)
-        row[ids] += coefs
-        rows.append(row)
-        rhs.append(b)
-
-    eq(nu_ids, np.ones(n), 1.0)
-    for x in states:
-        ids = blocks.tau_ids[x][blocks.tau_ids[x] >= 0]
-        eq(np.concatenate([ids, [nu_ids[x]]]), np.concatenate([np.ones(ids.size), [-1.0]]), 0.0)
-    for y in states:
-        ids = blocks.tau_ids[:, y][blocks.tau_ids[:, y] >= 0]
-        eq(np.concatenate([ids, [nu_ids[y]]]), np.concatenate([np.ones(ids.size), [-1.0]]), 0.0)
-    if r > 0.0:
-        for x in states:
-            for a, i in enumerate(blocks.rows_x[x]):
-                eq(
-                    np.concatenate([blocks.gam_ids[x][a], [nu_ids[x]]]),
-                    np.concatenate([np.ones(blocks.cols_x[x].size), [-float(pk[x, i])]]),
-                    0.0,
-                )
-            eq(
-                np.concatenate([blocks.gam_ids[x].ravel(), [blocks.slack_ids[x], nu_ids[x]]]),
-                np.concatenate(
-                    [d[np.ix_(blocks.rows_x[x], blocks.cols_x[x])].ravel(), [1.0, -r]]
-                ),
-                0.0,
-            )
-    if ball is not None:
-        for i in range(n):
-            eq(
-                np.concatenate([g0_ids[i], [nu_ids[i]]]),
-                np.concatenate([np.ones(cols0.size), [-1.0]]),
-                0.0,
-            )
-        for b_col, j in enumerate(cols0):
-            eq(g0_ids[:, b_col], np.ones(n), float(ball.center.p[j]))
-        eq(
-            np.concatenate([g0_ids.ravel(), [s0_id]]),
-            np.concatenate([d[:, cols0].ravel(), [1.0]]),
-            float(ball.kappa),
-        )
-
-    terms = []
-    for x in states:
-        for y in states:
-            t_id = blocks.tau_ids[x, y]
-            if t_id < 0:
-                continue
-            terms.append(Term(blocks.sigma_affine(x, y, nu_ids, None), numer_var=int(t_id)))
-
-    prog = _entropic.EntropicProgram(blocks.count, np.array(rows), np.array(rhs), terms)
-    sol = _entropic.solve(prog, z0=None)
-    if not sol.feasible:
-        center = ball.center if ball is not None else spec.pi0
-        return _infinite_report(spec, center)
-    if sol.status == "degenerate":
-        center = ball.center if ball is not None else spec.pi0
-        return RateReport(
-            math.inf, center, spec.kernel, spec.kernel, Residuals(math.inf, math.inf, 0.0), False
-        )
-    nu = sol.z[nu_ids]
-    return _extract(spec, blocks, sol.z, nu, sol)
+    return _solve_rate(spec, model, None, None)
 
 
 def worst_case_kernel(

@@ -20,8 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
+from ._entropic import Affine
 from .chain_core import MASS_ZERO, BallSet, ChainSpec, Dist, Kernel
-from .divergence import DivergenceModel, Variant, resolve_model
+from .divergence import DivergenceModel, Variant, coupling_start, resolve_model
+
+# States with mass at or below this are treated as unvisited: their kernel
+# rows carry no constraint and are reported as the nominal ones.
+NU_MASS_TOL = 1e-10
+
+# HiGHS primal feasibility tolerance for the invariant-kernel LPs.  At the
+# default 1e-7, optimal points go negative by ~5e-8 and envelope masses of
+# order 1e-6 come out up to 1e-8 off, depending on the row layout.
+LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10}
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,23 +161,184 @@ def check_conditions(spec: ChainSpec, max_exponent: int | None = None) -> Condit
     return ConditionReport(False, None, None, True, invariant, unique)
 
 
+class InvariantPolytope:
+    """Variable layout of the invariant-kernel polytope, shared by the rate
+    programs and the law-of-large-numbers LPs.
+
+    The polytope holds the laws nu that admit a kernel q with nu q = nu and
+    every visited row q(x) within W1 radius ``radius`` of the nominal row
+    pi(x).  In scaled variables, tau = diag(nu) q on the support pattern,
+    and for r > 0 each row has a coupling gamma^x of nu[x] pi(x) to the
+    worst-case row mass sigma[x] whose cost plus a slack is r nu[x]; at
+    r = 0, sigma[x] = nu[x] pi(x).  Variables are numbered tau (x-major),
+    gamma^x, the slacks, nu, and, with a target ball, the coupling g0 of
+    nu to the ball's centre and the slack s0 of its budget.  A fixed law is
+    a constant, and only the states it visits carry variables.
+    """
+
+    def __init__(
+        self,
+        spec: ChainSpec,
+        restrict: bool,
+        radius: float,
+        ball: BallSet | None = None,
+        fixed_nu: Dist | None = None,
+    ):
+        n = spec.space.n
+        pk = spec.kernel.rows
+        self.spec = spec
+        self.restrict = restrict
+        self.r = radius
+        self.ball = ball
+        self.fixed = None if fixed_nu is None else fixed_nu.p
+        self.states = np.arange(n) if fixed_nu is None else np.where(fixed_nu.p > MASS_ZERO)[0]
+        self.count = 0
+        self.tau_ids = -np.ones((n, n), dtype=np.int64)
+        for x in self.states:
+            for y in self.states:
+                if not (restrict and pk[x, y] <= MASS_ZERO):
+                    self.tau_ids[x, y] = self._take(1)[0]
+        if radius > 0.0:
+            self.rows_x = {x: np.where(pk[x] > MASS_ZERO)[0] for x in self.states}
+            self.cols_x = {x: self.rows_x[x] if restrict else np.arange(n) for x in self.states}
+            self.gam_ids = {
+                x: self._take(self.rows_x[x].size * self.cols_x[x].size).reshape(
+                    self.rows_x[x].size, -1
+                )
+                for x in self.states
+            }
+            self.slack_ids = {x: self._take(1)[0] for x in self.states}
+        self.nu_ids = self._take(n) if fixed_nu is None else None
+        if ball is not None:
+            self.cols0 = np.where(ball.center.support())[0]
+            self.g0_ids = self._take(self.states.size * self.cols0.size).reshape(
+                self.states.size, -1
+            )
+            self.s0_id = self._take(1)[0]
+
+    def _take(self, k: int) -> np.ndarray:
+        ids = np.arange(self.count, self.count + k)
+        self.count += k
+        return ids
+
+    def taus(self) -> np.ndarray:
+        """The (x, y) pairs that carry a tau variable, in numbering order."""
+        return np.argwhere(self.tau_ids >= 0)
+
+    def equalities(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows ``a z = b``: total mass (free law only), the row and column
+        sums of tau, each coupling's row marginals and budget, then the
+        ball coupling's marginals and budget."""
+        pk = self.spec.kernel.rows
+        d = self.spec.space.dist
+        rows: list[np.ndarray] = []
+        rhs: list[float] = []
+
+        def eq(ids, coefs, b=0.0, x=None, c=1.0):
+            # coefs @ z[ids] = b + c nu[x]; a free nu[x] moves to the left.
+            row = np.zeros(self.count)
+            row[ids] += coefs
+            if x is not None and self.nu_ids is None:
+                b = float(c * self.fixed[x])
+            elif x is not None:
+                row[self.nu_ids[x]] -= c
+            rows.append(row)
+            rhs.append(b)
+
+        if self.nu_ids is not None:
+            eq(self.nu_ids, 1.0, b=1.0)
+        for x in self.states:
+            eq(self.tau_ids[x][self.tau_ids[x] >= 0], 1.0, x=x)
+        for y in self.states:
+            eq(self.tau_ids[:, y][self.tau_ids[:, y] >= 0], 1.0, x=y)
+        if self.r > 0.0:
+            for x in self.states:
+                for a, i in enumerate(self.rows_x[x]):
+                    eq(self.gam_ids[x][a], 1.0, x=x, c=float(pk[x, i]))
+                cost = d[np.ix_(self.rows_x[x], self.cols_x[x])].ravel()
+                ids = np.append(self.gam_ids[x].ravel(), self.slack_ids[x])
+                eq(ids, np.append(cost, 1.0), x=x, c=self.r)
+        if self.ball is not None:
+            for k, x in enumerate(self.states):
+                eq(self.g0_ids[k], 1.0, x=x)
+            for k, j in enumerate(self.cols0):
+                eq(self.g0_ids[:, k], 1.0, b=float(self.ball.center.p[j]))
+            cost = d[np.ix_(self.states, self.cols0)].ravel()
+            ids = np.append(self.g0_ids.ravel(), self.s0_id)
+            eq(ids, np.append(cost, 1.0), b=float(self.ball.kappa))
+        return np.array(rows), np.array(rhs)
+
+    def sigma(self, x: int, y: int) -> Affine | None:
+        """The worst-case row mass sigma[x, y] as an affine expression, or
+        None where it vanishes identically."""
+        if self.r > 0.0:
+            hit = np.where(self.cols_x[x] == y)[0]
+            if hit.size == 0:
+                return None
+            col = self.gam_ids[x][:, hit[0]]
+            return Affine(col, np.ones(col.size))
+        p = float(self.spec.kernel.rows[x, y])
+        if p <= MASS_ZERO:
+            return None
+        if self.nu_ids is None:
+            return Affine(np.zeros(0, dtype=np.int64), np.zeros(0), p * float(self.fixed[x]))
+        return Affine(self.nu_ids[x : x + 1], np.array([p]))
+
+    def start(self) -> np.ndarray | None:
+        """A strictly feasible point where one is known in closed form: for
+        a fixed law with r > 0 and free supports, the product occupation
+        plus near-diagonal couplings.  None otherwise."""
+        if self.fixed is None or self.r == 0.0 or self.restrict:
+            return None
+        pk = self.spec.kernel.rows
+        d = self.spec.space.dist
+        nu = self.fixed
+        z0 = np.zeros(self.count)
+        for x, y in self.taus():
+            z0[self.tau_ids[x, y]] = nu[x] * nu[y]
+        dsub = {x: d[np.ix_(self.rows_x[x], self.cols_x[x])] for x in self.states}
+        spread = max(float(pk[x, self.rows_x[x]] @ dsub[x].mean(axis=1)) for x in self.states)
+        for x in self.states:
+            rows, cols = self.rows_x[x], self.cols_x[x]
+            g, cost = coupling_start(nu[x] * pk[x], rows, cols, dsub[x], self.r, spread)
+            z0[self.gam_ids[x].ravel()] = g.ravel()
+            z0[self.slack_ids[x]] = self.r * nu[x] - cost
+        return z0
+
+    def kernels(self, z: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The kernel q = tau / nu and the worst-case kernel sigma / nu read
+        off a point ``z``; rows of unvisited states stay nominal."""
+        n = self.spec.space.n
+        q = self.spec.kernel.rows.copy()
+        pihat = self.spec.kernel.rows.copy()
+        for x in self.states:
+            if nu[x] <= NU_MASS_TOL:
+                continue
+            row = np.zeros(n)
+            mask = self.tau_ids[x] >= 0
+            row[mask] = z[self.tau_ids[x][mask]]
+            q[x] = row / nu[x]
+            if self.r > 0.0:
+                sig = np.zeros(n)
+                sig[self.cols_x[x]] = z[self.gam_ids[x]].sum(axis=0)
+                pihat[x] = sig / nu[x]
+        return q, pihat
+
+
 @dataclass
 class InvariantBallLP:
-    """LP data for the polytope of pairs (nu, q) with nu q = nu and every
-    row of q inside the W1 ball around the matching nominal row.
-
-    Variables are nu, the scaled kernel tau = diag(nu) q, per-row transport
-    couplings, and optionally a coupling tying nu into a target ball.
-    """
+    """The invariant-kernel polytope as LP data: its equalities plus the
+    rows sigma[x] = tau[x] that put every visited row of q inside the W1
+    ball around the nominal row.  Budgets carry slacks, so ``a_ub`` is
+    empty."""
 
     n_vars: int
     a_eq: np.ndarray
     b_eq: np.ndarray
     a_ub: np.ndarray
     b_ub: np.ndarray
-    nu_ids: np.ndarray
-    tau_ids: np.ndarray  # (n, n), -1 where excluded by the support pattern
-    spec: ChainSpec
+    nu_ids: np.ndarray | None  # None for a fixed law
+    polytope: InvariantPolytope
 
     def solve(self, c: np.ndarray):
         return linprog(
@@ -178,21 +349,14 @@ class InvariantBallLP:
             b_eq=self.b_eq,
             bounds=(0, None),
             method="highs",
+            options=LP_OPTIONS,
         )
 
     def extract(self, x: np.ndarray) -> tuple[Dist, Kernel]:
-        n = self.spec.space.n
-        nu = np.clip(x[self.nu_ids], 0.0, None)
-        nu = nu / nu.sum()
-        q = self.spec.kernel.rows.copy()
-        for i in range(n):
-            if nu[i] <= 1e-10:
-                continue
-            row = np.zeros(n)
-            mask = self.tau_ids[i] >= 0
-            row[mask] = np.clip(x[self.tau_ids[i][mask]], 0.0, None)
-            q[i] = row / row.sum()
-        return Dist(nu), Kernel(q)
+        z = np.clip(x, 0.0, None)
+        nu = self.polytope.fixed if self.nu_ids is None else z[self.nu_ids]
+        q, _ = self.polytope.kernels(z, nu)
+        return Dist(nu / nu.sum()), Kernel(q)
 
 
 def invariant_ball_lp(
@@ -202,82 +366,30 @@ def invariant_ball_lp(
     ball: BallSet | None = None,
     fixed_nu: Dist | None = None,
 ) -> InvariantBallLP:
-    n = spec.space.n
-    d = spec.space.dist
-    pk = spec.kernel.rows
-
-    count = 0
-
-    def block(k: int) -> np.ndarray:
-        nonlocal count
-        ids = np.arange(count, count + k)
-        count += k
-        return ids
-
-    nu_ids = block(n)
-    tau_ids = -np.ones((n, n), dtype=np.int64)
-    for x in range(n):
-        for y in range(n):
-            if restrict and pk[x, y] <= MASS_ZERO:
+    poly = InvariantPolytope(spec, restrict, radius, ball, fixed_nu)
+    a_eq, b_eq = poly.equalities()
+    rows: list[np.ndarray] = []
+    rhs: list[float] = []
+    for x in poly.states:
+        for y in range(spec.space.n):
+            tau, sigma = poly.tau_ids[x, y], poly.sigma(x, y)
+            if tau < 0 and sigma is None:
                 continue
-            tau_ids[x, y] = block(1)[0]
-    rows_x = [np.where(pk[x] > MASS_ZERO)[0] for x in range(n)]
-    cols_x = [np.where(tau_ids[x] >= 0)[0] for x in range(n)]
-    gam_ids = [block(rows_x[x].size * cols_x[x].size).reshape(rows_x[x].size, -1) for x in range(n)]
-    if ball is not None:
-        cols0 = np.where(ball.center.support())[0]
-        g0_ids = block(n * cols0.size).reshape(n, cols0.size)
-
-    eq_rows: list[np.ndarray] = []
-    eq_rhs: list[float] = []
-    ub_rows: list[np.ndarray] = []
-    ub_rhs: list[float] = []
-
-    def eq(idx_coef: list[tuple[np.ndarray, float | np.ndarray]], rhs: float):
-        row = np.zeros(count)
-        for ids, coef in idx_coef:
-            row[ids] += coef
-        eq_rows.append(row)
-        eq_rhs.append(rhs)
-
-    eq([(nu_ids, 1.0)], 1.0)
-    for x in range(n):
-        eq([(tau_ids[x][cols_x[x]], 1.0), (nu_ids[x : x + 1], -1.0)], 0.0)
-    for y in range(n):
-        ids = tau_ids[:, y][tau_ids[:, y] >= 0]
-        eq([(ids, 1.0), (nu_ids[y : y + 1], -1.0)], 0.0)
-    for x in range(n):
-        for a, i in enumerate(rows_x[x]):
-            eq([(gam_ids[x][a], 1.0), (nu_ids[x : x + 1], -float(pk[x, i]))], 0.0)
-        for bcol, j in enumerate(cols_x[x]):
-            eq([(gam_ids[x][:, bcol], 1.0), (tau_ids[x, j : j + 1], -1.0)], 0.0)
-        row = np.zeros(count)
-        row[gam_ids[x].ravel()] = d[np.ix_(rows_x[x], cols_x[x])].ravel()
-        row[nu_ids[x]] -= radius
-        ub_rows.append(row)
-        ub_rhs.append(0.0)
-    if ball is not None:
-        for i in range(n):
-            eq([(g0_ids[i], 1.0), (nu_ids[i : i + 1], -1.0)], 0.0)
-        for bcol, j in enumerate(cols0):
-            eq([(g0_ids[:, bcol], 1.0)], float(ball.center.p[j]))
-        row = np.zeros(count)
-        row[g0_ids.ravel()] = d[:, cols0].ravel()
-        ub_rows.append(row)
-        ub_rhs.append(float(ball.kappa))
-    if fixed_nu is not None:
-        for x in range(n):
-            eq([(nu_ids[x : x + 1], 1.0)], float(fixed_nu.p[x]))
-
+            row = np.zeros(poly.count)
+            if tau >= 0:
+                row[tau] = 1.0
+            if sigma is not None:
+                row[sigma.idx] -= sigma.coef
+            rows.append(row)
+            rhs.append(0.0 if sigma is None else sigma.const)
     return InvariantBallLP(
-        count,
-        np.array(eq_rows),
-        np.array(eq_rhs),
-        np.array(ub_rows) if ub_rows else np.zeros((0, count)),
-        np.array(ub_rhs),
-        nu_ids,
-        tau_ids,
-        spec,
+        poly.count,
+        np.vstack([a_eq, *rows]),
+        np.append(b_eq, rhs),
+        np.zeros((0, poly.count)),
+        np.zeros(0),
+        poly.nu_ids,
+        poly,
     )
 
 

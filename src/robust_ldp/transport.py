@@ -99,7 +99,10 @@ def w1(space: MetricSpace, mu: Dist, nu: Dist) -> W1Result:
     # inequality, and tight against the primal at the optimum.
     v = res.eqlin.marginals[n:]
     f = (d - v[None, :]).min(axis=1)
-    return W1Result(value, TransportPlan(gamma, value), DualPotential(f))
+    # HiGHS may return -0.0 (or a negative within its tolerance) for an
+    # empty cell; the reported coupling is nonnegative with no signed zero.
+    plan = TransportPlan(np.where(gamma > 0.0, gamma, 0.0), value)
+    return W1Result(value, plan, DualPotential(f))
 
 
 def dual_value(potential: DualPotential, mu: Dist, nu: Dist) -> float:

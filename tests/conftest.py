@@ -101,3 +101,24 @@ def three_state_corpus(count=8, seed=777):
         r = float(rng.uniform(0.0, 0.15))
         out.append(ChainSpec.build(space, pi0, kernel, r))
     return out
+
+
+def certificate_corpus(count=8, seed=4242):
+    """Chains on 3 to 5 states for the certificate checks, with both metrics,
+    kernels missing one off-diagonal entry per row (so the AC variants
+    restrict), radius zero and positive, a Dirac target ball, and an AC
+    flag on every other pair of chains."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        n = 3 + k % 3
+        space = random_metric(rng, n, discrete=(k % 2 == 0))
+        rows = random_kernel(rng, n).rows.copy()
+        for x in range(n):
+            rows[x, (x + 1 + rng.integers(n - 1)) % n] = 0.0
+        kernel = Kernel.from_matrix(rows / rows.sum(axis=1, keepdims=True))
+        r = 0.0 if k in (1, 6) else float(rng.uniform(0.03, 0.1))
+        spec = ChainSpec.build(space, random_simplex(rng, n), kernel, r)
+        ball = BallSet(Dist.dirac(int(rng.integers(n)), n), 0.2 * space.diameter)
+        out.append((spec, k % 4 >= 2, ball))
+    return out

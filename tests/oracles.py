@@ -151,3 +151,72 @@ def kl_full(p, q):
             return math.inf
         total += a * math.log(a / b)
     return total
+
+
+def beta_grid_two_state(space, nu, mu, model, step=1e-5):
+    """Brute-force oracle for ``beta`` on two-state spaces.
+
+    Grids the one-parameter family of candidate references inside the W1
+    ball, which on two points is an interval of first-coordinate masses.
+    """
+    if space.n != 2:
+        raise ValueError("grid oracle is for two-state spaces")
+    d = space.dist[0, 1]
+    r = model.effective_radius
+    if model.is_indicator:
+        inside = abs(nu.p[0] - mu.p[0]) * d <= r + 1e-10
+        if inside and model.restrict_support:
+            inside = bool(np.all(nu.support() <= mu.support()))
+        return 0.0 if inside else math.inf
+    lo = max(0.0, mu.p[0] - r / d)
+    hi = min(1.0, mu.p[0] + r / d)
+    if model.restrict_support:
+        if mu.p[0] <= 1e-14:
+            lo, hi = 0.0, 0.0
+        if mu.p[1] <= 1e-14:
+            lo, hi = 1.0, 1.0
+    ts = np.append(np.arange(lo, hi, step), hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v0 = np.where(nu.p[0] > 1e-14, nu.p[0] * (np.log(nu.p[0]) - np.log(ts)), 0.0)
+        v1 = np.where(
+            nu.p[1] > 1e-14, nu.p[1] * (np.log(nu.p[1]) - np.log(1.0 - ts)), 0.0
+        )
+    vals = np.where(np.isnan(v0 + v1), np.inf, v0 + v1)
+    return float(np.min(vals))
+
+
+def beta_chain_grid_two_state(space, levels, theta, kernel, model, step=1e-3):
+    """Brute-force oracle for two-step ``beta_chain`` on two-state spaces:
+    directly minimizes the joint relative entropy over gridded ambiguity-set
+    elements (initial law and both kernel rows)."""
+    if space.n != 2 or len(levels) != 2:
+        raise ValueError("oracle covers two states and two steps")
+    if model.is_indicator:
+        raise ValueError("oracle covers the entropic variants")
+    d = space.dist[0, 1]
+    r = model.effective_radius
+    joint = levels[0][:, None] * np.asarray(levels[1])
+
+    def interval(center_first: float):
+        return max(0.0, center_first - r / d), min(1.0, center_first + r / d)
+
+    def min_neg_log(w0: float, w1: float, lo: float, hi: float) -> float:
+        # minimize -w0 ln t - w1 ln(1-t) over the gridded interval
+        ts = np.append(np.arange(lo, hi, step), hi)
+        with np.errstate(divide="ignore"):
+            vals = np.zeros_like(ts)
+            if w0 > 1e-14:
+                vals = vals - w0 * np.log(ts)
+            if w1 > 1e-14:
+                vals = vals - w1 * np.log(1.0 - ts)
+        return float(np.min(vals))
+
+    const = 0.0
+    for w in joint.ravel():
+        if w > 1e-14:
+            const += w * math.log(w)
+    total = const
+    total += min_neg_log(joint[0].sum(), joint[1].sum(), *interval(theta.p[0]))
+    for x in range(2):
+        total += min_neg_log(joint[x, 0], joint[x, 1], *interval(kernel.rows[x, 0]))
+    return total

@@ -30,7 +30,7 @@ from robust_ldp import (
 )
 from robust_ldp.chain_core import ChainSpec
 from robust_ldp.cli import load_chain_file, main
-from robust_ldp.divergence import beta_grid_two_state, entropy_model
+from robust_ldp.divergence import entropy_model
 from robust_ldp.transport import dual_value
 
 from conftest import (
@@ -41,7 +41,7 @@ from conftest import (
     two_state_corpus,
 )
 
-from oracles import tail_rate_two_state_grid
+from oracles import beta_grid_two_state, tail_rate_two_state_grid
 
 
 def criterion(name, ok, detail=""):

@@ -41,6 +41,17 @@ def test_negative_radius_flagged(example_space):
     assert any(v.path == "$.r" for v in validate_chain(spec))
 
 
+def test_non_finite_values_flagged(example_space):
+    nan = float("nan")
+    spec = ChainSpec(example_space, Dist(np.array([nan, 0.0, 1.0])), Kernel(np.eye(3)), nan)
+    paths = {v.path for v in validate_chain(spec)}
+    assert {"$.pi0[0]", "$.r"} <= paths
+    spec = ChainSpec(example_space, Dist.dirac(2, 3), Kernel(np.eye(3)), float("inf"))
+    assert any(v.path == "$.r" for v in validate_chain(spec))
+    with pytest.raises(ValidationError):
+        Dist.from_values([nan, 0.5, 0.5])
+
+
 def test_factories_reject_bad_input():
     with pytest.raises(ValidationError):
         Dist.from_values([0.5, 0.6])

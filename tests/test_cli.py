@@ -162,7 +162,9 @@ def test_wasserstein_command(capsys, example_chain_path, tmp_path):
         capsys,
         ["wasserstein", "--chain", example_chain_path, "--mu", "1", "--nu", "3", "--reproducible"],
     )
-    assert json.loads(out)["value"] == pytest.approx(1.0, abs=1e-12)
+    doc = json.loads(out)
+    assert doc["value"] == pytest.approx(1.0, abs=1e-12)
+    assert all(math.copysign(1.0, v) == 1.0 for row in doc["plan"] for v in row)
 
     two = tmp_path / "two.json"
     two.write_text(
@@ -284,6 +286,65 @@ def test_parse_dist_label_and_masses(example_space):
     assert np.allclose(d.p, [0.2, 0.3, 0.5])
     with pytest.raises(Exception):
         parse_dist("0.2,0.3", example_space, "--center")
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "overrides, path",
+    [
+        pytest.param({"pi0": [NAN, 0.0, 1.0]}, "$.pi0[0]", id="pi0-nan"),
+        pytest.param({"r": NAN}, "$.r", id="r-nan"),
+        pytest.param({"r": INF}, "$.r", id="r-inf"),
+        pytest.param(
+            {"kernel": [[0.6, 0.2, 0.2], [0.3, 0.4, -INF], [0.0, 0.3, 0.7]]},
+            "$.kernel[1][2]",
+            id="kernel-neg-inf",
+        ),
+        pytest.param(
+            {"metric": [[0, 1, 1], [1, 0, NAN], [1, 1, 0]]}, "$.metric[1][2]", id="metric-nan"
+        ),
+        pytest.param({"r": 10**400}, "$.r", id="r-int-beyond-float"),
+    ],
+)
+def test_non_finite_file_value_exits_2(capsys, tmp_path, overrides, path):
+    chain = write_chain(tmp_path, **overrides)
+    code, _, err = run(capsys, ["rate", "--chain", chain, "--center", "3", "--kappa", "0.2"])
+    assert code == 2
+    assert f"input error at {path}:" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        pytest.param(["rate", "--center", "3", "--kappa", "nan"], "--kappa", id="rate-kappa-nan"),
+        pytest.param(
+            ["simulate", "--center", "3", "--kappa", "inf"], "--kappa", id="simulate-kappa-inf"
+        ),
+        pytest.param(
+            ["simulate", "--center", "3", "--kappa", "-0.1"], "--kappa", id="simulate-kappa-neg"
+        ),
+        pytest.param(
+            ["simulate", "--center", "3", "--kappa", "0.2", "--rel-tol", "nan"],
+            "--rel-tol",
+            id="rel-tol-nan",
+        ),
+        pytest.param(["envelope", "--weights", "0,nan,1"], "--weights", id="weights-nan"),
+        pytest.param(
+            ["rate", "--center", "0.5,nan,0.5", "--kappa", "0.2"], "--center", id="center-nan"
+        ),
+        pytest.param(
+            ["simulate", "--center", "0.5,inf,0.5", "--kappa", "0.2"], "--center", id="center-inf"
+        ),
+        pytest.param(["wasserstein", "--mu", "nan,0,1", "--nu", "3"], "--mu", id="mu-nan"),
+        pytest.param(["wasserstein", "--mu", "1", "--nu", "0,-inf,1"], "--nu", id="nu-neg-inf"),
+    ],
+)
+def test_non_finite_flag_exits_2(capsys, example_chain_path, argv, flag):
+    code, _, err = run(capsys, [argv[0], "--chain", example_chain_path, *argv[1:]])
+    assert code == 2
+    assert f"input error at {flag}:" in err
 
 
 def test_bad_center_exits_2(capsys, example_chain_path):

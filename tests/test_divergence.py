@@ -4,17 +4,11 @@ import numpy as np
 import pytest
 
 from robust_ldp import Dist, MetricSpace, beta, beta_chain, chain_joint, rel_entropy, w1
-from robust_ldp.divergence import (
-    DivergenceModel,
-    Variant,
-    beta_chain_grid_two_state,
-    beta_grid_two_state,
-    entropy_model,
-)
+from robust_ldp.divergence import DivergenceModel, Variant, entropy_model
 
 from conftest import random_kernel, random_simplex, two_state_corpus
 
-from oracles import kl_full
+from oracles import beta_chain_grid_two_state, beta_grid_two_state, kl_full
 
 TWO = MetricSpace.discrete(["a", "b"])
 

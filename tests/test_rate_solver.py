@@ -7,17 +7,13 @@ from robust_ldp import (
     BallSet,
     ChainSpec,
     Dist,
-    FixedDist,
     MetricSpace,
-    RateProgram,
-    Unconstrained,
     ball_membership,
     minimal_rate,
     nonvacuous,
     rate_at,
     rel_entropy,
     sharpness_check,
-    solve_rate_program,
     stationary,
     tail_rate,
     w1,
@@ -25,9 +21,9 @@ from robust_ldp import (
 )
 from robust_ldp.divergence import DivergenceModel, Variant
 
-from conftest import random_simplex, three_state_corpus, two_state_corpus
+from conftest import certificate_corpus, random_simplex, three_state_corpus, two_state_corpus
 
-from oracles import rate_two_state_grid
+from oracles import kl_full, rate_two_state_grid
 
 
 def test_rate_at_invariant_measure_is_exactly_zero(example_spec):
@@ -102,6 +98,29 @@ def test_report_invariants(example_spec, example_ball):
     )
     assert report.value == pytest.approx(recomputed, abs=1e-6)
 
+    # Independent certificate checks on the example and a corpus of 3-5
+    # state chains: invariance, every visited worst-case row inside its
+    # ball (and, for AC, inside the nominal support), and the value.  An
+    # unconverged report claims no certificate and is not checked.
+    cases = [(example_spec, False, example_ball)] + certificate_corpus()
+    for spec, ac, ball in cases:
+        model = Variant.ROBUST_ENTROPY_AC if ac else Variant.ROBUST_ENTROPY
+        report = tail_rate(spec, ball, model)
+        if not report.converged:
+            continue
+        nu, q, pi_hat = report.nu_star.p, report.q_star.rows, report.pi_hat.rows
+        pk = spec.kernel.rows
+        assert np.max(np.abs(nu @ q - nu)) <= 1e-9
+        assert w1(spec.space, report.nu_star, ball.center).value <= ball.kappa + 1e-9
+        visited = np.where(nu > 1e-10)[0]
+        for x in visited:
+            row = Dist(pi_hat[x] / pi_hat[x].sum())
+            assert w1(spec.space, row, Dist(pk[x])).value <= spec.radius + 1e-9
+            if ac:
+                assert np.all(pi_hat[x][pk[x] == 0.0] == 0.0)
+        value = sum(nu[x] * kl_full(q[x], pi_hat[x]) for x in visited)
+        assert report.value == pytest.approx(value, rel=1e-9, abs=1e-12)
+
 
 def test_ball_containing_stationary_gives_zero(example_spec):
     mu_star, _ = stationary(example_spec.kernel)
@@ -175,16 +194,9 @@ def test_ac_rate_infinite_when_unreachable():
     assert math.isfinite(rate_at(spec, Dist.dirac(0, 2)).value)
 
 
-def test_program_dispatch(example_spec, example_ball):
+def test_rate_vanishes_at_stationary_and_minimum(example_spec):
     mu_star, _ = stationary(example_spec.kernel)
-    by_ball = solve_rate_program(
-        RateProgram(example_spec, Variant.ROBUST_ENTROPY, example_ball)
-    )
-    assert by_ball.value == pytest.approx(tail_rate(example_spec, example_ball).value)
-    at_nu = solve_rate_program(RateProgram(example_spec, Variant.ROBUST_ENTROPY, FixedDist(mu_star)))
-    assert at_nu.value == 0.0
-    free = solve_rate_program(RateProgram(example_spec, Variant.ROBUST_ENTROPY, Unconstrained()))
-    assert free.value == 0.0
+    assert rate_at(example_spec, mu_star).value == 0.0
     assert minimal_rate(example_spec).value == 0.0
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from robust_ldp import (
     ChainSpec,
+    Dist,
     Kernel,
     MetricSpace,
     cesaro,
@@ -10,11 +11,12 @@ from robust_ldp import (
     envelope,
     robust_functional_bound,
     stationary,
+    w1,
 )
-from robust_ldp.divergence import Variant
+from robust_ldp.divergence import DivergenceModel, Variant
 from robust_ldp.set_chain import invariant_ball_lp
 
-from conftest import EXAMPLE_STATIONARY, three_state_corpus
+from conftest import EXAMPLE_STATIONARY, certificate_corpus, three_state_corpus
 
 from oracles import fixed_nu_feasible_discrete
 
@@ -153,12 +155,32 @@ def test_functional_bound(example_spec):
 
 
 def test_extremes_attained_by_feasible_laws(example_spec):
-    """Re-solving with the argmax fixed reproduces the extreme value."""
+    """Re-solving with the argmax fixed reproduces the extreme value, and
+    the kernel read off the fixed-law LP certifies it: invariant, with
+    every visited row inside its ball (and, for AC, the nominal support)."""
     value, argmax = robust_functional_bound(example_spec, Variant.BALL_INDICATOR, [0, 0, 1])
     lp = invariant_ball_lp(example_spec, False, example_spec.radius, fixed_nu=argmax)
     res = lp.solve(np.zeros(lp.n_vars))
     assert res.status == 0
     assert argmax.p[2] == pytest.approx(value, abs=1e-9)
+
+    rng = np.random.default_rng(31)
+    cases = [(example_spec, False)] + [(spec, ac) for spec, ac, _ in certificate_corpus()]
+    for spec, ac in cases:
+        model = Variant.BALL_INDICATOR_AC if ac else Variant.BALL_INDICATOR
+        _, argmax = robust_functional_bound(spec, model, rng.uniform(-1, 1, spec.space.n))
+        restrict = DivergenceModel(model, spec.radius).restrict_support
+        lp = invariant_ball_lp(spec, restrict, spec.radius, fixed_nu=argmax)
+        res = lp.solve(np.zeros(lp.n_vars))
+        assert res.status == 0
+        nu, q = argmax.p, lp.extract(res.x)[1].rows
+        pk = spec.kernel.rows
+        assert np.max(np.abs(nu @ q - nu)) <= 1e-9
+        for x in np.where(nu > 1e-10)[0]:
+            row = Dist(q[x] / q[x].sum())
+            assert w1(spec.space, row, Dist(pk[x])).value <= spec.radius + 1e-9
+            if ac:
+                assert np.all(q[x][pk[x] == 0.0] == 0.0)
 
 
 def test_entropic_models_rejected_by_envelope(example_spec):
