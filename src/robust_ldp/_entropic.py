@@ -1,4 +1,4 @@
-"""Damped-Newton barrier solver for small dense entropic programs.
+"""Damped-Newton barrier solver for entropic programs with sparse structure.
 
 Solves
 
@@ -11,6 +11,22 @@ nonnegative coefficients.  This captures relative-entropy objectives
 whose reference measures are themselves decision variables (marginals of
 transport couplings), which is the shape of all robust-divergence and
 rate programs in this package.
+
+The Newton step uses the structure of these programs.  The Hessian of a
+term ``u ln(u/v)`` has rank one, so the barrier Hessian at parameter t is
+
+    H = diag(1/z^2) + S diag(t w) S^T
+
+with one sparse column s_k per term: ``s_k = e_u - (u/v) c`` and
+``w = 1/u`` for a variable numerator, ``s_k = c`` and ``w = p/v^2`` for a
+constant one, where c holds the denominator's coefficients.  H^-1 is
+applied by the Woodbury identity through a K x K capacitance matrix (K
+terms, so terms sharing a denominator variable are covered), and only the
+m x m Schur complement A H^-1 A^T of the m equality rows is formed and
+factored.  The terms are stored as flat index arrays and every product is
+one vectorised sum over entry pairs fixed per working problem; nothing of
+size n_vars x n_vars is built unless a factorisation fails and the
+least-squares fallback solves the full KKT system.
 
 The solve proceeds in three stages:
 
@@ -33,6 +49,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, qr
 from scipy.optimize import linprog
 
@@ -51,9 +68,6 @@ class Affine:
     idx: np.ndarray
     coef: np.ndarray
     const: float = 0.0
-
-    def value(self, z: np.ndarray) -> float:
-        return float(self.coef @ z[self.idx] + self.const)
 
 
 @dataclass(frozen=True)
@@ -93,40 +107,220 @@ class EntropicSolution:
         return self.status != "infeasible"
 
 
-def _objective(terms: list[Term], z: np.ndarray) -> float:
-    total = 0.0
-    for t in terms:
-        v = t.denom.value(z)
-        u = z[t.numer_var] if t.numer_var is not None else t.numer_const
-        if u <= 0.0:
-            continue
-        if v <= 0.0:
+@dataclass(frozen=True)
+class _Terms:
+    """The objective terms as flat arrays.
+
+    Term k has numerator ``z[numer[k]]``, or the constant ``numer_const[k]``
+    where ``numer[k]`` is -1, and denominator ``const[k]`` plus
+    ``coef[e] * z[idx[e]]`` summed over the entries e with ``term[e] == k``.
+    """
+
+    numer: np.ndarray
+    numer_const: np.ndarray
+    idx: np.ndarray
+    coef: np.ndarray
+    term: np.ndarray
+    const: np.ndarray
+
+    @classmethod
+    def of(cls, terms: list[Term]) -> _Terms:
+        return cls(
+            np.array([-1 if t.numer_var is None else t.numer_var for t in terms], dtype=np.int64),
+            np.array([0.0 if t.numer_var is not None else t.numer_const for t in terms]),
+            np.concatenate([np.zeros(0, np.int64)] + [t.denom.idx for t in terms]),
+            np.concatenate([np.zeros(0)] + [t.denom.coef for t in terms]),
+            np.repeat(np.arange(len(terms)), [t.denom.idx.size for t in terms]),
+            np.array([t.denom.const for t in terms], dtype=np.float64),
+        )
+
+    @property
+    def size(self) -> int:
+        return self.numer.size
+
+    def numerators(self, z: np.ndarray) -> np.ndarray:
+        var = self.numer >= 0
+        u = self.numer_const.copy()
+        u[var] = z[self.numer[var]]
+        return u
+
+    def denominators(self, z: np.ndarray) -> np.ndarray:
+        weights = self.coef * z[self.idx]
+        return np.bincount(self.term, weights=weights, minlength=self.size) + self.const
+
+    def numerator_alive(self, keep: np.ndarray) -> np.ndarray:
+        """Terms whose numerator is a constant or a kept coordinate."""
+        var = self.numer >= 0
+        alive = ~var
+        alive[var] = keep[self.numer[var]]
+        return alive
+
+    def denominator_alive(self, keep: np.ndarray) -> np.ndarray:
+        """Terms whose denominator keeps a coordinate or a positive constant."""
+        hits = np.bincount(self.term, weights=keep[self.idx], minlength=self.size)
+        return (hits > 0.0) | (self.const > 0.0)
+
+    def objective(self, z: np.ndarray) -> float:
+        u, v = self.numerators(z), self.denominators(z)
+        on = u > 0.0
+        if np.any(v[on] <= 0.0):
             return math.inf
-        total += u * math.log(u / v)
-    return total
+        return float(np.sum(u[on] * np.log(u[on] / v[on])))
+
+    def restrict(self, keep: np.ndarray) -> _Terms:
+        """The terms over the kept coordinates, renumbered.  A term whose
+        numerator coordinate is dropped contributes zero and goes."""
+        new_of = -np.ones(keep.size, dtype=np.int64)
+        new_of[keep] = np.arange(int(keep.sum()))
+        stay = self.numerator_alive(keep)
+        term_of = -np.ones(self.size, dtype=np.int64)
+        term_of[stay] = np.arange(int(stay.sum()))
+        entry = stay[self.term] & keep[self.idx]
+        numer = self.numer[stay]
+        numer[numer >= 0] = new_of[numer[numer >= 0]]
+        return _Terms(
+            numer,
+            self.numer_const[stay],
+            new_of[self.idx[entry]],
+            self.coef[entry],
+            term_of[self.term[entry]],
+            self.const[stay],
+        )
 
 
-def _grad_hess(terms: list[Term], z: np.ndarray, n: int):
-    g = np.zeros(n)
-    h = np.zeros((n, n))
-    for t in terms:
-        idx = t.denom.idx
-        c = t.denom.coef
-        v = t.denom.value(z)
-        if t.numer_var is not None:
-            i = t.numer_var
-            u = z[i]
-            g[i] += math.log(u / v) + 1.0
-            g[idx] -= (u / v) * c
-            h[i, i] += 1.0 / u
-            h[i, idx] -= c / v
-            h[idx, i] -= c / v
-            h[np.ix_(idx, idx)] += (u / v**2) * np.outer(c, c)
-        else:
-            p = t.numer_const
-            g[idx] -= (p / v) * c
-            h[np.ix_(idx, idx)] += (p / v**2) * np.outer(c, c)
-    return g, h
+def _pairs(j1: np.ndarray, j2: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every (p, q) with ``j1[p] == j2[q]``: the entry pairs of two sparse
+    factors X, Y (entries at variables j1, j2) that meet in X diag(d) Y^T."""
+    order = np.argsort(j2, kind="stable")
+    count = np.bincount(j2, minlength=n)
+    first = np.cumsum(count) - count
+    reps = count[j1]
+    p = np.repeat(np.arange(j1.size), reps)
+    offset = np.arange(p.size) - np.repeat(np.cumsum(reps) - reps, reps)
+    return p, order[first[j1[p]] + offset]
+
+
+class _Newton:
+    """The Newton system of ``min t f(z) - sum ln z  s.t.  a z = b`` for one
+    working problem: rows ``a`` (full row rank) and the objective ``terms``.
+
+    With D = diag(1/z^2) and C = diag(1/(t w)) + S^T D^-1 S,
+
+        H^-1 = D^-1 - D^-1 S C^-1 S^T D^-1,
+        A H^-1 A^T = A D^-1 A^T - U C^-1 U^T,   U = A D^-1 S.
+
+    The sparsity patterns of A and S are fixed here, so C, U and A D^-1 A^T
+    are each one ``bincount`` over precomputed entry pairs.
+    """
+
+    def __init__(self, a: np.ndarray, terms: _Terms):
+        self.a = a
+        self.terms = terms
+        self.m, self.n = a.shape
+        self.k = k = terms.size
+        self.var = terms.numer >= 0
+        # S: a 1 at each variable numerator, then the denominator entries.
+        self.s_row = np.concatenate([terms.numer[self.var], terms.idx])
+        self.s_col = np.concatenate([np.where(self.var)[0], terms.term])
+        self.a_row, self.a_col = np.nonzero(a)
+        self.a_val = a[self.a_row, self.a_col]
+        p, q = _pairs(self.a_col, self.a_col, self.n)
+        self.aa = (self.a_row[p] * self.m + self.a_row[q], self.a_val[p] * self.a_val[q],
+                   self.a_col[p])
+        p, q = _pairs(self.a_col, self.s_row, self.n)
+        self.as_ = (self.a_row[p] * k + self.s_col[q], self.a_val[p], q, self.a_col[p])
+        p, q = _pairs(self.s_row, self.s_row, self.n)
+        self.ss = (self.s_col[p] * k + self.s_col[q], p, q, self.s_row[p])
+
+    def amul(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.a_row, weights=self.a_val * x[self.a_col], minlength=self.m)
+
+    def atmul(self, y: np.ndarray) -> np.ndarray:
+        return np.bincount(self.a_col, weights=self.a_val * y[self.a_row], minlength=self.n)
+
+    def _st(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.s_col, weights=self.s_val * x[self.s_row], minlength=self.k)
+
+    def _s(self, y: np.ndarray) -> np.ndarray:
+        return np.bincount(self.s_row, weights=self.s_val * y[self.s_col], minlength=self.n)
+
+    def linearize(self, z: np.ndarray, t: float) -> np.ndarray:
+        """Move to the point z at parameter t; returns the barrier gradient
+        ``t grad f(z) - 1/z``."""
+        tm = self.terms
+        u, v = tm.numerators(z), tm.denominators(z)
+        ratio = u / v
+        grad = np.bincount(tm.numer[self.var], weights=np.log(ratio[self.var]) + 1.0,
+                           minlength=self.n)
+        grad = grad - np.bincount(tm.idx, weights=ratio[tm.term] * tm.coef, minlength=self.n)
+        scale = np.where(self.var, -ratio, 1.0)
+        self.s_val = np.concatenate([np.ones(int(self.var.sum())), scale[tm.term] * tm.coef])
+        self.tw = t * np.where(self.var, 1.0 / u, u / v**2)
+        self.dinv = z * z
+        return t * grad - 1.0 / z
+
+    def hess_mul(self, x: np.ndarray) -> np.ndarray:
+        return x / self.dinv + self._s(self.tw * self._st(x))
+
+    def _dense_hessian(self) -> np.ndarray:
+        s = np.zeros((self.n, self.k))
+        np.add.at(s, (self.s_row, self.s_col), self.s_val)
+        h = (s * self.tw) @ s.T
+        h[np.diag_indices(self.n)] += 1.0 / self.dinv
+        return h
+
+    def step(self, g: np.ndarray, rp: np.ndarray) -> np.ndarray:
+        """Newton step at the current point for min phi s.t. A dz = rp (the
+        current equality residual, so that steps actively repair numerical
+        drift), where g is the gradient of phi.
+
+        The Schur-complement path with two rounds of iterative refinement is
+        fastest; near the boundary the barrier curvature can defeat
+        Cholesky, in which case the full KKT system is solved by least
+        squares instead.
+        """
+        m, k, d = self.m, self.k, self.dinv
+        try:
+            key, p, q, j = self.ss
+            cap = np.bincount(key, weights=self.s_val[p] * self.s_val[q] * d[j], minlength=k * k)
+            cap = cap.reshape(k, k) + np.diag(1.0 / self.tw)
+            cinv = cho_solve(cho_factor(cap, lower=True), np.eye(k), check_finite=False)
+
+            def hinv(x):
+                y = d * x
+                return y - d * self._s(cinv @ self._st(y))
+
+            if m == 0:
+                return hinv(-g)
+            key, a_p, q, j = self.as_
+            u = np.bincount(key, weights=a_p * self.s_val[q] * d[j], minlength=m * k).reshape(m, k)
+            key, aa, j = self.aa
+            schur = np.bincount(key, weights=aa * d[j], minlength=m * m).reshape(m, m)
+            sf = cho_factor(schur - u @ cinv @ u.T, lower=True)
+
+            def solve_once(r1, r2):
+                lam = cho_solve(sf, self.amul(hinv(r1)) - r2, check_finite=False)
+                return hinv(r1 - self.atmul(lam)), lam
+
+            dz, lam = solve_once(-g, rp)
+            for _ in range(2):
+                r1 = -g - (self.hess_mul(dz) + self.atmul(lam))
+                r2 = rp - self.amul(dz)
+                ddz, dlam = solve_once(r1, r2)
+                if not (np.all(np.isfinite(ddz)) and np.all(np.isfinite(dlam))):
+                    break
+                dz = dz + ddz
+                lam = lam + dlam
+            return dz
+        except LinAlgError:
+            pass
+        n = self.n
+        kkt = np.zeros((n + m, n + m))
+        kkt[:n, :n] = self._dense_hessian()
+        kkt[n:, :n] = self.a
+        kkt[:n, n:] = self.a.T
+        rhs = np.concatenate([-g, rp])
+        return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:n]
 
 
 def _phase_one(a: np.ndarray, b: np.ndarray):
@@ -138,7 +332,7 @@ def _phase_one(a: np.ndarray, b: np.ndarray):
     c = np.zeros(n + 1)
     c[-1] = -1.0
     a_eq = np.hstack([a, np.zeros((m, 1))])
-    a_ub = np.hstack([-np.eye(n), np.ones((n, 1))])
+    a_ub = sp.hstack([-sp.eye(n), sp.csc_matrix(np.ones((n, 1)))], format="csc")
     res = linprog(
         c,
         A_ub=a_ub,
@@ -178,61 +372,14 @@ def _independent_rows(a: np.ndarray) -> np.ndarray:
     return np.sort(piv[:rank])
 
 
-def _kkt_step(h: np.ndarray, a: np.ndarray, g: np.ndarray, rp: np.ndarray):
-    """Newton step for min phi s.t. A dz = rp (the current equality residual,
-    so that steps actively repair numerical drift); h must be positive
-    definite.
-
-    The Schur-complement path with two rounds of iterative refinement is
-    fastest; near the boundary the barrier curvature can defeat Cholesky,
-    in which case the full KKT system is solved by least squares instead.
-    """
-    n = h.shape[0]
-    m = a.shape[0]
-    try:
-        cf = cho_factor(h, lower=True)
-        if m == 0:
-            return -cho_solve(cf, g)
-        w = cho_solve(cf, a.T)
-        sf = cho_factor(a @ w, lower=True)
-
-        def solve_once(r1, r2):
-            hr = cho_solve(cf, r1)
-            lam = cho_solve(sf, a @ hr - r2)
-            return hr - w @ lam, lam
-
-        dz, lam = solve_once(-g, rp)
-        for _ in range(2):
-            r1 = -g - (h @ dz + a.T @ lam)
-            r2 = rp - a @ dz
-            ddz, dlam = solve_once(r1, r2)
-            if not (np.all(np.isfinite(ddz)) and np.all(np.isfinite(dlam))):
-                break
-            dz = dz + ddz
-            lam = lam + dlam
-        return dz
-    except LinAlgError:
-        pass
-    k = np.zeros((n + m, n + m))
-    k[:n, :n] = h
-    k[:n, n:] = a.T
-    k[n:, :n] = a
-    rhs = np.concatenate([-g, rp])
-    sol = np.linalg.lstsq(k, rhs, rcond=None)[0]
-    return sol[:n]
-
-
-def _center(a, b, terms, z, t, inner_tol=1e-10):
+def _center(newton: _Newton, b, z, t, inner_tol=1e-10):
     """Damped Newton iteration toward the analytic center at parameter t."""
-    n = z.size
+    objective = newton.terms.objective
     iters = 0
     for _ in range(MAX_NEWTON):
-        g_f, h_f = _grad_hess(terms, z, n)
-        g = t * g_f - 1.0 / z
-        h = t * h_f
-        h[np.diag_indices(n)] += 1.0 / z**2
-        rp = b - a @ z if a.shape[0] else np.zeros(0)
-        dz = _kkt_step(h, a, g, rp)
+        g = newton.linearize(z, t)
+        rp = b - newton.amul(z)
+        dz = newton.step(g, rp)
         lam2 = float(-g @ dz)
         iters += 1
         prim = float(np.max(np.abs(rp))) if rp.size else 0.0
@@ -242,13 +389,18 @@ def _center(a, b, terms, z, t, inner_tol=1e-10):
         alpha = 1.0
         if np.any(neg):
             alpha = min(1.0, 0.995 * np.min(-z[neg] / dz[neg]))
-        phi0 = t * _objective(terms, z) - np.log(z).sum()
+        phi0 = t * objective(z) - np.log(z).sum()
         # Tiny uphill slack keeps pure feasibility-restoration steps viable.
+        # At large t the KKT system is so ill-conditioned that a step can
+        # miss A dz = rp by far more than rp; it is shortened until it does
+        # not raise the equality residual, which later steps rarely repair.
         accepted = False
         while alpha > 1e-14:
             z_new = z + alpha * dz
-            phi = t * _objective(terms, z_new) - np.log(z_new).sum()
-            if phi <= phi0 - 0.25 * alpha * max(lam2, 0.0) + 1e-12 * max(1.0, abs(phi0)):
+            phi = t * objective(z_new) - np.log(z_new).sum()
+            drift = float(np.max(np.abs(b - newton.amul(z_new)), initial=0.0))
+            descent = phi <= phi0 - 0.25 * alpha * max(lam2, 0.0) + 1e-12 * max(1.0, abs(phi0))
+            if descent and drift <= max(prim, 1e-12):
                 accepted = True
                 break
             alpha *= 0.5
@@ -258,41 +410,20 @@ def _center(a, b, terms, z, t, inner_tol=1e-10):
     return z, iters
 
 
-def _freeze_mask(terms: list[Term], keep: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _freeze_mask(terms: _Terms, keep: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Make a tentative freeze set consistent with the objective: whenever a
     term's denominator support would vanish while its numerator survives,
     revive the largest denominator coordinate instead."""
     keep = keep.copy()
-    changed = True
-    while changed:
-        changed = False
-        for t in terms:
-            didx = t.denom.idx
-            alive = (didx.size and bool(keep[didx].any())) or t.denom.const > 0.0
-            if alive:
-                continue
-            survives = t.numer_const is not None or keep[t.numer_var]
-            if survives and didx.size:
-                keep[didx[np.argmax(z[didx])]] = True
-                changed = True
-    return keep
-
-
-def _compact_terms(terms: list[Term], keep: np.ndarray) -> list[Term]:
-    """Restrict terms to the kept coordinates, renumbering indices."""
-    new_of = -np.ones(keep.size, dtype=np.int64)
-    new_of[keep] = np.arange(int(keep.sum()))
-    out: list[Term] = []
-    for t in terms:
-        if t.numer_var is not None and not keep[t.numer_var]:
-            continue
-        sel = keep[t.denom.idx]
-        denom = Affine(new_of[t.denom.idx[sel]], t.denom.coef[sel], t.denom.const)
-        if t.numer_var is not None:
-            out.append(Term(denom, numer_var=int(new_of[t.numer_var])))
-        else:
-            out.append(Term(denom, numer_const=t.numer_const))
-    return out
+    has_idx = np.bincount(terms.term, minlength=terms.size) > 0
+    while True:
+        dead = terms.numerator_alive(keep) & ~terms.denominator_alive(keep) & has_idx
+        if not dead.any():
+            return keep
+        for k in np.where(dead)[0]:
+            ids = terms.idx[terms.term == k]
+            if not keep[ids].any():
+                keep[ids[np.argmax(z[ids])]] = True
 
 
 def solve(
@@ -300,7 +431,7 @@ def solve(
 ) -> EntropicSolution:
     n = prog.n_vars
     active = np.ones(n, dtype=bool)
-    terms = list(prog.terms)
+    terms = _Terms.of(prog.terms)
     a_full = np.asarray(prog.a_eq, dtype=np.float64)
     b = np.asarray(prog.b_eq, dtype=np.float64)
 
@@ -316,21 +447,13 @@ def solve(
         # Eliminate coordinates that vanish on the whole feasible set, then
         # find a strictly feasible start on the remaining face.
         while True:
-            forced_now: list[int] = []
-            cleaned: list[Term] = []
-            for t in terms:
-                if t.numer_var is not None and not active[t.numer_var]:
-                    continue  # numerator pinned at zero, term contributes 0
-                didx = t.denom.idx[active[t.denom.idx]]
-                if didx.size == 0 and t.denom.const <= 0.0:
-                    if t.numer_var is None:
-                        return EntropicSolution(None, math.inf, 0.0, True, "infeasible")
-                    forced_now.append(t.numer_var)
-                    continue
-                cleaned.append(t)
-            terms = cleaned
-            if forced_now:
-                active[forced_now] = False
+            # A term whose numerator is pinned at zero contributes 0; one
+            # whose denominator vanishes pins its numerator at zero.
+            dead = terms.numerator_alive(active) & ~terms.denominator_alive(active)
+            if np.any(dead & (terms.numer < 0)):
+                return EntropicSolution(None, math.inf, 0.0, True, "infeasible")
+            if dead.any():
+                active[terms.numer[dead]] = False
                 continue
             na = int(active.sum())
             if na == 0:
@@ -361,18 +484,18 @@ def solve(
         z_start = z_start[active]
 
     # Working problem over the surviving coordinates.
-    terms_w = _compact_terms(terms, active)
+    terms_w = terms.restrict(active)
     a_act = a_full[:, active]
     nb0 = int(active.sum())
     live = np.ones(nb0, dtype=bool)  # coordinates still on the central path
     kept = _independent_rows(a_act)
-    a_w = a_act[kept]
     b_w = b[kept]
+    newton = _Newton(a_act[kept], terms_w)
     z = np.asarray(z_start, dtype=np.float64)
 
     t_bar = 1.0
     total_iters = 0
-    snapshot = None  # pre-freeze fallback: (z in live0 space, terms, t, value)
+    snapshot = None  # pre-freeze fallback: (z in live0 space, t, value)
 
     def embed(zv: np.ndarray) -> np.ndarray:
         out = np.zeros(nb0)
@@ -380,36 +503,36 @@ def solve(
         return out
 
     while z.size:
-        z, it = _center(a_w, b_w, terms_w, z, t_bar)
+        z, it = _center(newton, b_w, z, t_bar)
         total_iters += it
         gap = z.size / t_bar
         if gap <= gap_tol or t_bar >= 1e16:
             break
         if snapshot is None and gap <= SAFE_GAP:
-            snapshot = (embed(z), list(terms_w), t_bar, _objective(terms_w, z))
+            snapshot = (embed(z), t_bar, terms_w.objective(z))
         if snapshot is not None:
             tentative = z >= FACE_TOL
             if not tentative.all() and tentative.any():
                 keep = _freeze_mask(terms_w, tentative, z)
                 if not keep.all():
-                    terms_w = _compact_terms(terms_w, keep)
+                    terms_w = terms_w.restrict(keep)
                     live[np.where(live)[0][~keep]] = False
                     z = z[keep]
                     kept = _independent_rows(a_act[:, live])
-                    a_w = a_act[:, live][kept]
                     b_w = b[kept]
+                    newton = _Newton(a_act[:, live][kept], terms_w)
         t_bar *= 10.0
 
     z_local = embed(z)
-    value = _objective(terms_w, z)
+    value = terms_w.objective(z)
     gap = z.size / t_bar if z.size else 0.0
     primal = float(np.max(np.abs(a_act @ z_local - b))) if b.size else 0.0
 
     if not live.all() and snapshot is not None:
         # The face continuation must beat the cautious stage; otherwise the
         # face was misidentified and the pre-freeze iterate is the answer.
-        if not math.isfinite(value) or value > snapshot[3] + 1e-4 or primal > 1e-8:
-            z_local, _, t_snap, value = snapshot
+        if not math.isfinite(value) or value > snapshot[2] + 1e-4 or primal > 1e-8:
+            z_local, t_snap, value = snapshot
             gap = nb0 / t_snap
             primal = float(np.max(np.abs(a_act @ z_local - b))) if b.size else 0.0
 

@@ -129,9 +129,11 @@ class Dist:
         return self.p.shape[0]
 
     @classmethod
-    def from_values(cls, values) -> "Dist":
+    def from_values(cls, values, path: str = "$.pi0") -> "Dist":
+        """A validated, normalised law; violations are reported under
+        ``path``."""
         d = cls(values)
-        violations = validate_dist(d)
+        violations = validate_dist(d, path)
         if violations:
             raise ValidationError(violations)
         return cls(d.p / d.p.sum())

@@ -130,7 +130,7 @@ def parse_dist(arg: str, space: MetricSpace, flag: str) -> Dist:
     except ValueError:
         raise InputError(flag, "expected numeric masses") from None
     try:
-        return Dist.from_values(values)
+        return Dist.from_values(values, path=flag)
     except ValueError as exc:
         raise InputError(flag, str(exc)) from None
 

@@ -220,3 +220,48 @@ def beta_chain_grid_two_state(space, levels, theta, kernel, model, step=1e-3):
     for x in range(2):
         total += min_neg_log(joint[x, 0], joint[x, 1], *interval(kernel.rows[x, 0]))
     return total
+
+
+def _affine(expr, z):
+    return float(expr.coef @ z[expr.idx] + expr.const)
+
+
+def entropic_objective(terms, z):
+    """``sum u ln(u / v)`` of an entropic program's terms, one term at a
+    time: terms with a vanishing numerator contribute 0, a positive
+    numerator over a vanishing denominator makes the sum +infinity."""
+    total = 0.0
+    for t in terms:
+        v = _affine(t.denom, z)
+        u = z[t.numer_var] if t.numer_var is not None else t.numer_const
+        if u <= 0.0:
+            continue
+        if v <= 0.0:
+            return math.inf
+        total += u * math.log(u / v)
+    return total
+
+
+def entropic_grad_hess(terms, z, n):
+    """Dense gradient and n x n Hessian of ``entropic_objective``, assembled
+    term by term from the derivatives of ``u ln(u / v)``."""
+    g = np.zeros(n)
+    h = np.zeros((n, n))
+    for t in terms:
+        idx = t.denom.idx
+        c = t.denom.coef
+        v = _affine(t.denom, z)
+        if t.numer_var is not None:
+            i = t.numer_var
+            u = z[i]
+            g[i] += math.log(u / v) + 1.0
+            g[idx] -= (u / v) * c
+            h[i, i] += 1.0 / u
+            h[i, idx] -= c / v
+            h[idx, i] -= c / v
+            h[np.ix_(idx, idx)] += (u / v**2) * np.outer(c, c)
+        else:
+            p = t.numer_const
+            g[idx] -= (p / v) * c
+            h[np.ix_(idx, idx)] += (p / v**2) * np.outer(c, c)
+    return g, h

@@ -347,6 +347,23 @@ def test_non_finite_flag_exits_2(capsys, example_chain_path, argv, flag):
     assert f"input error at {flag}:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        pytest.param(["wasserstein", "--mu", "1", "--nu", "0,-0.5,1.5"], "--nu[1]", id="nu"),
+        pytest.param(["wasserstein", "--mu", "0.2,-0.2,1", "--nu", "3"], "--mu[1]", id="mu"),
+        pytest.param(
+            ["rate", "--center", "0.5,0.6,-0.1", "--kappa", "0.2"], "--center[2]", id="center"
+        ),
+    ],
+)
+def test_bad_flag_mass_is_reported_under_the_flag(capsys, example_chain_path, argv, where):
+    code, _, err = run(capsys, [argv[0], "--chain", example_chain_path, *argv[1:]])
+    assert code == 2
+    assert f"{where}: negative mass" in err
+    assert "$.pi0" not in err
+
+
 def test_bad_center_exits_2(capsys, example_chain_path):
     code, _, err = run(
         capsys,

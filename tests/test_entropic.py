@@ -1,0 +1,177 @@
+"""The structured Newton step of ``_entropic`` against the dense assembly.
+
+The programs are the ones the package really builds: they are recorded
+from ``tail_rate``, ``rate_at`` and ``beta`` calls.  At random interior
+points the vectorised objective, gradient and Hessian product and one
+KKT step must agree with the term-by-term dense oracle in
+``tests/oracles.py`` plus a dense KKT solve.
+"""
+
+import numpy as np
+import pytest
+from scipy.linalg import LinAlgError
+
+from robust_ldp import Dist, _entropic, beta, rate_at, tail_rate
+from robust_ldp.divergence import Variant, entropy_model
+
+from oracles import entropic_grad_hess, entropic_objective
+
+REL = 1e-9
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """The programs passed to ``_entropic.solve`` while the test runs."""
+    programs = []
+    real = _entropic.solve
+
+    def record(prog, *args, **kwargs):
+        programs.append(prog)
+        return real(prog, *args, **kwargs)
+
+    monkeypatch.setattr(_entropic, "solve", record)
+    return programs
+
+
+def _shape_free_nu_ball(spec, ball):
+    tail_rate(spec, ball)
+
+
+def _shape_shared_denominators(spec, ball):
+    tail_rate(spec, ball, Variant.ENTROPY)
+
+
+def _shape_constant_denominators(spec, ball):
+    rate_at(spec, Dist(np.array([0.2, 0.3, 0.5])), Variant.ENTROPY)
+
+
+def _shape_constant_numerators(spec, ball):
+    nu = Dist(np.array([0.1, 0.1, 0.8]))
+    beta(spec.space, nu, Dist(spec.kernel.rows[0]), entropy_model(0.05))
+
+
+SHAPES = {
+    "r>0": _shape_free_nu_ball,
+    "r=0-shared-nu": _shape_shared_denominators,
+    "r=0-fixed-nu": _shape_constant_denominators,
+    "beta": _shape_constant_numerators,
+}
+
+
+def _assert_close(actual, expected):
+    scale = max(1.0, float(np.max(np.abs(expected))))
+    assert float(np.max(np.abs(actual - expected))) <= REL * scale
+
+
+def _program(recorded, shape, spec, ball):
+    SHAPES[shape](spec, ball)
+    assert len(recorded) == 1
+    return recorded[0]
+
+
+def _dense_kkt(h, a, g, rp):
+    n, m = h.shape[0], a.shape[0]
+    kkt = np.block([[h, a.T], [a, np.zeros((m, m))]])
+    return np.linalg.solve(kkt, np.concatenate([-g, rp]))[:n]
+
+
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_structured_step_matches_dense_assembly(recorded, example_spec, example_ball, shape):
+    prog = _program(recorded, shape, example_spec, example_ball)
+    terms = _entropic._Terms.of(prog.terms)
+    shared = np.bincount(terms.idx, minlength=prog.n_vars).max() if terms.idx.size else 0
+    if shape == "r>0":
+        assert shared == 1 and np.all(terms.numer >= 0)
+    if shape == "r=0-shared-nu":
+        assert shared > 1  # the row's terms share the denominator nu[x]
+    if shape == "r=0-fixed-nu":
+        assert terms.idx.size == 0 and np.all(terms.const > 0.0)
+    if shape == "beta":
+        assert np.all(terms.numer < 0)
+
+    n = prog.n_vars
+    a = prog.a_eq[_entropic._independent_rows(prog.a_eq)]
+    newton = _entropic._Newton(a, terms)
+    rng = np.random.default_rng(11)
+    for t in (1.0, 1e3):
+        z = rng.uniform(0.05, 1.0, n)
+        x = rng.standard_normal(n)
+        rp = 1e-3 * rng.standard_normal(a.shape[0])
+        g_f, h_f = entropic_grad_hess(prog.terms, z, n)
+        g = t * g_f - 1.0 / z
+        h = t * h_f + np.diag(1.0 / z**2)
+
+        assert terms.objective(z) == pytest.approx(
+            entropic_objective(prog.terms, z), rel=REL, abs=REL
+        )
+        _assert_close(newton.linearize(z, t), g)
+        _assert_close(newton.hess_mul(x), h @ x)
+        _assert_close(newton.step(g, rp), _dense_kkt(h, a, g, rp))
+
+
+def test_least_squares_fallback_matches_dense_kkt(
+    recorded, example_spec, example_ball, monkeypatch
+):
+    prog = _program(recorded, "r>0", example_spec, example_ball)
+    a = prog.a_eq[_entropic._independent_rows(prog.a_eq)]
+    newton = _entropic._Newton(a, _entropic._Terms.of(prog.terms))
+    rng = np.random.default_rng(5)
+    z = rng.uniform(0.05, 1.0, prog.n_vars)
+    rp = 1e-3 * rng.standard_normal(a.shape[0])
+    g = newton.linearize(z, 10.0)
+    g_f, h_f = entropic_grad_hess(prog.terms, z, prog.n_vars)
+    h = 10.0 * h_f + np.diag(1.0 / z**2)
+
+    def refuse(*args, **kwargs):
+        raise LinAlgError("not positive definite")
+
+    monkeypatch.setattr(_entropic, "cho_factor", refuse)
+    _assert_close(newton.step(g, rp), _dense_kkt(h, a, g, rp))
+
+
+def test_freeze_keeps_denominators_and_restrict_renumbers(recorded, example_spec, example_ball):
+    prog = _program(recorded, "r>0", example_spec, example_ball)
+    terms = _entropic._Terms.of(prog.terms)
+    rng = np.random.default_rng(2)
+    z = rng.uniform(0.05, 1.0, prog.n_vars)
+    tentative = rng.uniform(size=prog.n_vars) < 0.5
+    keep = _entropic._freeze_mask(terms, tentative, z)
+    assert np.all(keep[tentative]) and keep.sum() > tentative.sum()
+    assert np.all(terms.denominator_alive(keep) | ~terms.numerator_alive(keep))
+    # Frozen coordinates sit at zero, so restricting the terms to the kept
+    # ones leaves the objective unchanged.
+    z[~keep] = 0.0
+    restricted = terms.restrict(keep)
+    assert restricted.size == int(terms.numerator_alive(keep).sum())
+    assert restricted.objective(z[keep]) == pytest.approx(
+        entropic_objective(prog.terms, z), rel=REL, abs=REL
+    )
+
+
+def test_centering_never_raises_the_equality_residual(
+    recorded, example_spec, example_ball, monkeypatch
+):
+    # Steps that miss A dz = rp, as an ill-conditioned KKT solve at large t
+    # can return, are shortened until the residual does not grow.
+    prog = _program(recorded, "r>0", example_spec, example_ball)
+    rows = _entropic._independent_rows(prog.a_eq)
+    a, b = prog.a_eq[rows], prog.b_eq[rows]
+    z0, _ = _entropic._phase_one(a, b)
+    newton = _entropic._Newton(a, _entropic._Terms.of(prog.terms))
+    rng = np.random.default_rng(0)
+    exact = _entropic._Newton.step
+
+    def inexact(self, g, rp):
+        return exact(self, g, rp) + 1e-6 * rng.standard_normal(g.size)
+
+    monkeypatch.setattr(_entropic._Newton, "step", inexact)
+    z, iters = _entropic._center(newton, b, z0, 10.0)
+    assert iters > 1 and not np.array_equal(z, z0)
+    assert np.max(np.abs(b - a @ z)) <= max(np.max(np.abs(b - a @ z0)), 1e-12)
+
+
+def test_program_without_terms_reaches_the_analytic_center():
+    prog = _entropic.EntropicProgram(3, np.array([[1.0, 1.0, 1.0]]), np.array([1.0]), [])
+    sol = _entropic.solve(prog)
+    assert sol.converged and sol.value == 0.0
+    np.testing.assert_allclose(sol.z, np.full(3, 1.0 / 3.0), atol=1e-9)

@@ -99,27 +99,48 @@ def test_report_invariants(example_spec, example_ball):
     assert report.value == pytest.approx(recomputed, abs=1e-6)
 
     # Independent certificate checks on the example and a corpus of 3-5
-    # state chains: invariance, every visited worst-case row inside its
-    # ball (and, for AC, inside the nominal support), and the value.  An
-    # unconverged report claims no certificate and is not checked.
+    # state chains.  An unconverged report claims no certificate and is not
+    # checked.
     cases = [(example_spec, False, example_ball)] + certificate_corpus()
     for spec, ac, ball in cases:
         model = Variant.ROBUST_ENTROPY_AC if ac else Variant.ROBUST_ENTROPY
         report = tail_rate(spec, ball, model)
-        if not report.converged:
-            continue
-        nu, q, pi_hat = report.nu_star.p, report.q_star.rows, report.pi_hat.rows
-        pk = spec.kernel.rows
-        assert np.max(np.abs(nu @ q - nu)) <= 1e-9
-        assert w1(spec.space, report.nu_star, ball.center).value <= ball.kappa + 1e-9
-        visited = np.where(nu > 1e-10)[0]
-        for x in visited:
-            row = Dist(pi_hat[x] / pi_hat[x].sum())
-            assert w1(spec.space, row, Dist(pk[x])).value <= spec.radius + 1e-9
-            if ac:
-                assert np.all(pi_hat[x][pk[x] == 0.0] == 0.0)
-        value = sum(nu[x] * kl_full(q[x], pi_hat[x]) for x in visited)
-        assert report.value == pytest.approx(value, rel=1e-9, abs=1e-12)
+        if report.converged:
+            _assert_certified(spec, ac, ball, report)
+
+
+def _assert_certified(spec, ac, ball, report):
+    """Invariance, the law inside the target ball, every visited worst-case
+    row inside its ball (and, for AC, inside the nominal support), and the
+    value equal to the relative entropy of the certificate."""
+    nu, q, pi_hat = report.nu_star.p, report.q_star.rows, report.pi_hat.rows
+    pk = spec.kernel.rows
+    assert np.max(np.abs(nu @ q - nu)) <= 1e-9
+    assert w1(spec.space, report.nu_star, ball.center).value <= ball.kappa + 1e-9
+    visited = np.where(nu > 1e-10)[0]
+    for x in visited:
+        row = Dist(pi_hat[x] / pi_hat[x].sum())
+        assert w1(spec.space, row, Dist(pk[x])).value <= spec.radius + 1e-9
+        if ac:
+            assert np.all(pi_hat[x][pk[x] == 0.0] == 0.0)
+    value = sum(nu[x] * kl_full(q[x], pi_hat[x]) for x in visited)
+    assert report.value == pytest.approx(value, rel=1e-9, abs=1e-12)
+
+
+def test_transient_state_chain_never_claims_a_wrong_rate():
+    # A 3-state chain with a transient state, on whose free-law tail-rate
+    # program inexact Newton steps can drift off the equality constraints
+    # to negative objectives.  The report may say it did not converge; a
+    # converged report must be nonnegative, carry a valid certificate, and
+    # match 0.098327 from scipy's trust-constr on the same program
+    # (accurate to about 1e-6).
+    spec, ac, ball = certificate_corpus()[0]
+    model = Variant.ROBUST_ENTROPY_AC if ac else Variant.ROBUST_ENTROPY
+    report = tail_rate(spec, ball, model)
+    if report.converged:
+        assert report.value >= 0.0
+        _assert_certified(spec, ac, ball, report)
+        assert report.value == pytest.approx(0.098327, abs=1e-5)
 
 
 def test_ball_containing_stationary_gives_zero(example_spec):
