@@ -30,7 +30,7 @@ from .chain_core import (
     validate_chain,
 )
 from .divergence import MODEL_NAMES, Variant
-from .montecarlo import RateEstimate, SimPlan, compare_rates, simulate_paths
+from .montecarlo import RateEstimate, SimPlan, compare_rates, resolve_threads, simulate_paths
 from .rate_solver import RateReport, Residuals, sharpness_check, tail_rate
 from .set_chain import ConditionReport, Envelope, check_conditions, envelope, robust_functional_bound
 from .transport import w1
@@ -320,6 +320,11 @@ def cmd_check(args) -> int:
     return EXIT_OK if (report.m1_holds and report.m2_holds) else EXIT_CONDITION
 
 
+def parse_threads(args) -> int | None:
+    _need(args.threads is None or args.threads >= 1, "--threads", "must be >= 1")
+    return args.threads
+
+
 def parse_ball(args, space: MetricSpace) -> BallSet:
     _need(_finite(args.kappa, "--kappa") >= 0.0, "--kappa", "must be nonnegative")
     return BallSet(parse_dist(args.center, space, "--center"), args.kappa)
@@ -343,6 +348,7 @@ def cmd_rate(args) -> int:
 def cmd_envelope(args) -> int:
     spec = load_chain_file(args.chain)
     variant = _entropic_variant(args.model)
+    threads = parse_threads(args)
     if args.weights is not None:
         parts = args.weights.split(",")
         if len(parts) != spec.space.n:
@@ -363,7 +369,7 @@ def cmd_envelope(args) -> int:
             args,
         )
         return EXIT_OK
-    env = envelope(spec, variant, threads=args.threads)
+    env = envelope(spec, variant, threads=threads)
     payload = envelope_to_dict(env)
     payload["states"] = list(spec.space.labels)
     _emit(payload, args)
@@ -374,6 +380,9 @@ def cmd_simulate(args) -> int:
     spec = load_chain_file(args.chain)
     ball = parse_ball(args, spec.space)
     _finite(args.rel_tol, "--rel-tol")
+    _need(args.paths >= 1, "--paths", "must be >= 1")
+    _need(0 <= args.seed < 2**64, "--seed", "must be an unsigned 64-bit integer")
+    threads = resolve_threads(parse_threads(args))
     variant = _entropic_variant(args.model)
     if args.worst_case:
         solved = tail_rate(spec, ball, variant)
@@ -389,7 +398,7 @@ def cmd_simulate(args) -> int:
         analytic = solved.value
         played = "nominal"
     plan = SimPlan(spec, play, ball, parse_lengths(args.lengths, "--lengths"), args.paths, args.seed)
-    estimate = simulate_paths(plan, threads=args.threads)
+    estimate = simulate_paths(plan, threads=threads)
     verdict = compare_rates(analytic, estimate, args.rel_tol)
     payload = {
         "schema_version": SCHEMA_VERSION,

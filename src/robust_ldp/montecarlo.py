@@ -19,7 +19,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .chain_core import BallSet, ChainSpec, Kernel
-from .transport import BALL_ATOL, w1_to_center
+from .transport import in_ball
 
 # Fixed path-block size: the unit of work and of random-stream derivation.
 BLOCK = 16384
@@ -89,9 +89,13 @@ def resolve_threads(threads: int | None = None) -> int:
     an explicit request, which overrides machine parallelism."""
     env = os.environ.get("ROBUST_LDP_THREADS")
     if env:
-        return max(1, int(env))
+        if not env.strip().isdigit() or int(env) < 1:
+            raise ValueError(f"ROBUST_LDP_THREADS must be a positive integer, got {env!r}")
+        return int(env)
     if threads is not None:
-        return max(1, int(threads))
+        if threads < 1:
+            raise ValueError("threads must be >= 1")
+        return int(threads)
     return os.cpu_count() or 1
 
 
@@ -137,9 +141,7 @@ def _block_hits(plan: SimPlan, length_index: int, block_index: int, count: int) 
         counts[rows, state] += 1
 
     uniq, mult = np.unique(counts, axis=0, return_counts=True)
-    dist_vals = w1_to_center(spec.space, uniq / n, plan.ball.center)
-    member = dist_vals <= plan.ball.kappa + BALL_ATOL
-    return int(mult[member].sum())
+    return int(mult[in_ball(spec.space, uniq / n, plan.ball)].sum())
 
 
 def simulate_paths(plan: SimPlan, threads: int | None = None) -> RateEstimate:

@@ -405,6 +405,8 @@ def envelope(
 ) -> Envelope:
     """Per-state extreme occupation masses over the invariant-ball polytope:
     2n linear programs, independently dispatchable."""
+    if threads is not None and threads < 1:
+        raise ValueError("threads must be >= 1")
     model = resolve_model(model, spec.radius)
     _check_indicator(model)
     lp = invariant_ball_lp(spec, model.restrict_support, model.effective_radius)

@@ -1,14 +1,20 @@
-"""Exact Wasserstein-1 distance on finite metric spaces.
+"""Exact Wasserstein-1 distance on finite metric spaces, and W1-ball
+membership.
 
-The primal transportation problem is solved as an exact linear program
+``w1`` solves the primal transportation problem as an exact linear program
 (HiGHS dual simplex, deterministic for fixed input); the Kantorovich
 potential is recovered from the equality multipliers by a c-transform,
 which keeps it 1-Lipschitz whenever the ground cost is a metric.
+
+``in_ball`` decides ``w1(row, center) <= kappa`` for many rows at once
+from two certified bounds: the cost of an explicit coupling from above and
+the value of an explicit 1-Lipschitz potential from below.  Both are exact
+for a Dirac center and on the discrete metric, so no LP runs there; a row
+that neither bound decides gets one LP.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -111,61 +117,34 @@ def dual_value(potential: DualPotential, mu: Dist, nu: Dist) -> float:
 
 def ball_membership(space: MetricSpace, nu: Dist, ball: BallSet) -> bool:
     """Closed-ball test: true iff ``w1(nu, center) <= kappa`` up to slack."""
-    value, _, _ = w1(space, nu, ball.center)
-    return value <= ball.kappa + BALL_ATOL
+    return bool(in_ball(space, nu.p[None, :], ball)[0])
 
 
-def lipschitz_extreme_potentials(space: MetricSpace) -> np.ndarray:
-    """Vertices of the 1-Lipschitz polytope ``{f : |f_i - f_j| <= d_ij}``
-    with the last coordinate pinned to zero.
-
-    W1(mu, nu) equals the maximum of ``f @ (mu - nu)`` over these rows,
-    which gives an exact vectorized distance evaluator for small spaces.
-    """
-    n = space.n
-    if n == 1:
-        return np.zeros((1, 1))
-    d = space.dist
-    m = n - 1  # free coordinates, f[n-1] = 0
-    rows = []
-    rhs = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            # f_i - f_j <= d_ij with f_{n-1} treated as 0
-            r = np.zeros(m)
-            if i < m:
-                r[i] = 1.0
-            if j < m:
-                r[j] = -1.0
-            rows.append(r)
-            rhs.append(d[i, j])
-    a = np.array(rows)
-    b = np.array(rhs)
-    verts = []
-    for comb in itertools.combinations(range(len(rows)), m):
-        sub = a[list(comb)]
-        if abs(np.linalg.det(sub)) < 1e-12:
+def in_ball(space: MetricSpace, probs: np.ndarray, ball: BallSet) -> np.ndarray:
+    """:func:`ball_membership` for every row of ``probs``."""
+    probs, d = np.atleast_2d(probs), space.dist
+    limit = ball.kappa + BALL_ATOL
+    diff = probs - ball.center.p
+    # Upper bound: leave min(p, c) in place, ship the rest by the product
+    # of the residuals.
+    src, dst = np.maximum(diff, 0.0), np.maximum(-diff, 0.0)
+    mass = dst.sum(axis=1)
+    shipped = ((src @ d) * dst).sum(axis=1)
+    inside = np.divide(shipped, mass, out=np.zeros_like(mass), where=mass > 0.0) <= limit
+    # Lower bound: f(i) = d(i, S), the distance to the deficit set
+    # S = {i : p_i < c_i}, is 1-Lipschitz (0 everywhere when S is empty).
+    f = np.full(diff.shape, np.inf)
+    for j in range(space.n):
+        f = np.where(diff[:, j : j + 1] < 0.0, np.minimum(f, d[:, j]), f)
+    lower = (diff * np.where(np.isinf(f), 0.0, f)).sum(axis=1)
+    # Exact LPs in row order; each optimal potential also bounds every
+    # later row from below, which may settle it without an LP of its own.
+    undecided = np.flatnonzero(~inside & (lower <= limit))
+    for k, r in enumerate(undecided):
+        if lower[r] > limit:
             continue
-        f = np.linalg.solve(sub, b[list(comb)])
-        if np.all(a @ f <= b + 1e-10):
-            verts.append(f)
-    verts = np.unique(np.round(np.array(verts), 9), axis=0)
-    return np.hstack([verts, np.zeros((verts.shape[0], 1))])
-
-
-def w1_to_center(space: MetricSpace, probs: np.ndarray, center: Dist) -> np.ndarray:
-    """W1 distances from each row of ``probs`` to ``center``.
-
-    Uses the half-L1 identity on discrete metrics, extreme Lipschitz
-    potentials on small spaces, and falls back to one LP per row.
-    """
-    probs = np.atleast_2d(probs)
-    diff = probs - center.p[None, :]
-    if space.is_discrete:
-        return 0.5 * np.abs(diff).sum(axis=1)
-    if space.n <= 6:
-        verts = lipschitz_extreme_potentials(space)
-        return np.max(diff @ verts.T, axis=1)
-    return np.array([w1(space, Dist(row), center).value for row in probs])
+        res = w1(space, Dist(probs[r]), ball.center)
+        inside[r] = res.value <= limit
+        later = undecided[k + 1 :]
+        lower[later] = np.maximum(lower[later], diff[later] @ res.potential.f)
+    return inside

@@ -90,6 +90,25 @@ def w1_two_point_enumeration(d12, mu, nu):
     return abs(mu[0] - nu[0]) * d12
 
 
+def w1_ball_members_by_lp(dist, probs, center, kappa, atol):
+    """Closed W1-ball membership of each row of ``probs``, each decided by
+    its own transportation LP, with no bound or shortcut."""
+    dist = np.asarray(dist, dtype=float)
+    n = dist.shape[0]
+    a_eq = np.vstack([np.kron(np.eye(n), np.ones(n)), np.kron(np.ones(n), np.eye(n))])
+    out = []
+    for row in np.atleast_2d(probs):
+        res = linprog(
+            dist.ravel(),
+            A_eq=a_eq,
+            b_eq=np.concatenate([row, center]),
+            bounds=(0, None),
+        )
+        assert res.status == 0, res.message
+        out.append(res.fun <= kappa + atol)
+    return np.array(out, dtype=bool)
+
+
 def fixed_nu_feasible_discrete(kernel_rows, nu, r, atol=1e-9):
     """Feasibility of an occupation law under the discrete metric, checked
     with an independent LP formulation: rows q(x) with nu q = nu and total

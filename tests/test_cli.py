@@ -364,6 +364,42 @@ def test_bad_flag_mass_is_reported_under_the_flag(capsys, example_chain_path, ar
     assert "$.pi0" not in err
 
 
+SIMULATE = ["simulate", "--center", "3", "--kappa", "0.2", "--lengths", "10..20:10"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        pytest.param([*SIMULATE, "--threads", "0"], "--threads", id="simulate-threads-0"),
+        pytest.param(["envelope", "--threads", "-3"], "--threads", id="envelope-threads-neg"),
+        pytest.param(
+            ["envelope", "--weights", "0,0,1", "--threads", "0"],
+            "--threads",
+            id="envelope-weights-threads-0",
+        ),
+        pytest.param([*SIMULATE, "--paths", "0"], "--paths", id="paths-0"),
+        pytest.param([*SIMULATE, "--seed", "-1"], "--seed", id="seed-neg"),
+        pytest.param([*SIMULATE, "--seed", str(2**64)], "--seed", id="seed-beyond-64-bit"),
+    ],
+)
+def test_out_of_range_flag_exits_2(capsys, monkeypatch, example_chain_path, argv, flag):
+    monkeypatch.delenv("ROBUST_LDP_THREADS", raising=False)
+    code, out, err = run(capsys, [argv[0], "--chain", example_chain_path, *argv[1:]])
+    assert code == 2
+    assert f"input error at {flag}:" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_bad_thread_variable_is_named(capsys, monkeypatch, example_chain_path, value):
+    monkeypatch.setenv("ROBUST_LDP_THREADS", value)
+    code, out, err = run(capsys, ["simulate", "--chain", example_chain_path, *SIMULATE[1:]])
+    assert code == 2
+    assert "ROBUST_LDP_THREADS" in err
+    assert "invalid literal" not in err
+    assert out == ""
+
+
 def test_bad_center_exits_2(capsys, example_chain_path):
     code, _, err = run(
         capsys,

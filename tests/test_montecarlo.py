@@ -11,8 +11,11 @@ from robust_ldp import (
     compare_rates,
     simulate_paths,
 )
+from robust_ldp import montecarlo
+from robust_ldp.transport import BALL_ATOL
 
-
+from conftest import random_kernel, random_metric, random_simplex
+from oracles import w1_ball_members_by_lp
 
 def small_plan(example_spec, example_ball, paths=4000, lengths=(20, 40, 60)):
     return SimPlan(example_spec, example_spec.kernel, example_ball, tuple(lengths), paths, 7)
@@ -160,3 +163,28 @@ def test_ac_witness_support():
     mu = Dist.from_values([0.8, 0.2, 0.0])
     res = dv.beta(space, nu, mu, dv.entropy_model(0.1, ac=True))
     assert np.all(res.witness_mu_hat.support() <= mu.support())
+
+
+@pytest.mark.parametrize("center_kind", ["dirac", "two-point"])
+def test_euclidean_hits_match_lp_oracle(monkeypatch, center_kind):
+    rng = np.random.default_rng(707)
+    n = 7
+    space = random_metric(rng, n)
+    spec = ChainSpec.build(space, random_simplex(rng, n).p, random_kernel(rng, n).rows, 0.05)
+    if center_kind == "dirac":
+        center = Dist.dirac(2, n)
+    else:
+        center = Dist(np.array([0.4, 0.0, 0.0, 0.6, 0.0, 0.0, 0.0]))
+    # two lengths give two path blocks, so both workers run
+    plan = SimPlan(spec, spec.kernel, BallSet(center, 0.4), (8, 10), 300, 5)
+    one = simulate_paths(plan, threads=1)
+    two = simulate_paths(plan, threads=2)
+    assert np.array_equal(one.hits, two.hits)
+    assert np.all(one.hits > 0) and np.all(one.hits < 300)
+
+    def by_lp(space, probs, ball):
+        return w1_ball_members_by_lp(space.dist, probs, ball.center.p, ball.kappa, BALL_ATOL)
+
+    monkeypatch.setattr(montecarlo, "in_ball", by_lp)
+    oracle = simulate_paths(plan, threads=1)
+    assert np.array_equal(one.hits, oracle.hits)

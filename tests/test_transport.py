@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from robust_ldp import BallSet, Dist, MetricSpace, ball_membership, w1
-from robust_ldp.transport import dual_value, lipschitz_extreme_potentials, w1_to_center
+import robust_ldp.transport as transport
+from robust_ldp.transport import BALL_ATOL, dual_value, in_ball
 
 from conftest import random_metric, random_simplex
 
@@ -107,26 +108,66 @@ def test_ball_membership_examples(example_space):
     )
 
 
-def test_extreme_potentials_reproduce_w1():
-    rng = np.random.default_rng(17)
-    for _ in range(15):
-        n = int(rng.integers(2, 6))
-        space = random_metric(rng, n)
-        verts = lipschitz_extreme_potentials(space)
-        assert np.max(np.abs(verts[:, :, None] - verts[:, None, :]) - space.dist) <= 1e-8
-        mu = random_simplex(rng, n)
-        nu = random_simplex(rng, n)
-        via_vertices = float(np.max(verts @ (mu.p - nu.p)))
-        assert via_vertices == pytest.approx(w1(space, mu, nu).value, abs=1e-8)
+def _membership_rows(rng, center, count=10, length=12):
+    """Random laws, occupation laws of a path of ``length`` steps, and the
+    center itself."""
+    n = center.n
+    rows = [random_simplex(rng, n).p for _ in range(count)]
+    rows += [rng.multinomial(length, center.p) / length for _ in range(count)]
+    rows.append(center.p)
+    return np.stack(rows)
 
 
-def test_w1_to_center_matches_solver():
-    rng = np.random.default_rng(23)
+def _centers(rng, n):
+    two_point = np.zeros(n)
+    i, j = rng.choice(n, size=2, replace=False)
+    two_point[i], two_point[j] = 0.35, 0.65
+    return {
+        "dirac": Dist.dirac(int(rng.integers(0, n)), n),
+        "random": random_simplex(rng, n),
+        "two-point": Dist(two_point),
+    }
+
+
+def test_in_ball_agrees_with_w1_row_by_row():
+    rng = np.random.default_rng(41)
     for discrete in (True, False):
-        n = 4
-        space = random_metric(rng, n, discrete=discrete)
-        center = random_simplex(rng, n)
-        probs = np.stack([random_simplex(rng, n).p for _ in range(12)])
-        fast = w1_to_center(space, probs, center)
-        slow = np.array([w1(space, Dist(row), center).value for row in probs])
-        assert np.max(np.abs(fast - slow)) <= 1e-8
+        for n in range(2, 9):
+            space = random_metric(rng, n, discrete=discrete)
+            for name, center in _centers(rng, n).items():
+                probs = _membership_rows(rng, center)
+                values = np.array([w1(space, Dist(row), center).value for row in probs])
+                for r in rng.choice(len(probs), size=3, replace=False):
+                    for kappa in (values[r], values[r] - 1e-7, values[r] + 1e-7):
+                        kappa = max(float(kappa), 0.0)
+                        got = in_ball(space, probs, BallSet(center, kappa))
+                        want = values <= kappa + BALL_ATOL
+                        assert np.array_equal(got, want), (discrete, n, name, kappa)
+
+
+def test_in_ball_runs_no_lp_where_the_bounds_are_exact(monkeypatch):
+    calls = []
+    real = transport.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "linprog", counting)
+    rng = np.random.default_rng(43)
+    for n in range(2, 9):
+        euclid = random_metric(rng, n)
+        discrete = MetricSpace.discrete(n)
+        cases = [(euclid, Dist.dirac(int(rng.integers(0, n)), n), False)]
+        cases += [(discrete, center, True) for center in _centers(rng, n).values()]
+        for space, center, half_l1 in cases:
+            probs = _membership_rows(rng, center)
+            if half_l1:
+                exact = 0.5 * np.abs(probs - center.p).sum(axis=1)
+            else:  # Dirac center: all mass moves to the center's state
+                exact = probs @ space.dist @ center.p
+            for kappa in np.concatenate([exact, exact + 1e-7, exact - 1e-7]):
+                kappa = max(float(kappa), 0.0)
+                got = in_ball(space, probs, BallSet(center, kappa))
+                assert np.array_equal(got, exact <= kappa + BALL_ATOL)
+    assert calls == []
