@@ -28,7 +28,7 @@ from . import _entropic
 from ._entropic import Term
 from .chain_core import MASS_ZERO, BallSet, ChainSpec, Dist, Kernel
 from .divergence import DivergenceModel, Variant, rel_entropy, resolve_model
-from .set_chain import NU_MASS_TOL, InvariantPolytope, invariant_ball_lp, stationary
+from .set_chain import NU_MASS_TOL, InvariantPolytope, stationary
 from .transport import w1
 
 # Support threshold for solver outputs (barrier iterates park vanishing
@@ -98,10 +98,7 @@ def _infinite_report(spec: ChainSpec, nu: Dist, proven: bool) -> RateReport:
 
 
 def _try_zero_rate(
-    spec: ChainSpec,
-    model: DivergenceModel,
-    ball: BallSet | None,
-    fixed_nu: Dist | None,
+    spec: ChainSpec, poly: InvariantPolytope, fixed_nu: Dist | None
 ) -> RateReport | None:
     """Exact zero detection: the rate vanishes iff some feasible nu admits
     an invariant kernel with every visited row inside the W1 ball.
@@ -109,6 +106,7 @@ def _try_zero_rate(
     The nominal kernel itself is tried first so that zero-rate reports
     carry the canonical certificate q = pi whenever possible."""
     pk = spec.kernel
+    ball = poly.ball
     if fixed_nu is not None:
         if float(np.abs(fixed_nu.p @ pk.rows - fixed_nu.p).sum()) <= 1e-11:
             return _zero_rate_report(fixed_nu, pk)
@@ -116,10 +114,8 @@ def _try_zero_rate(
         mu_star, _ = stationary(pk)
         if ball is None or w1(spec.space, mu_star, ball.center).value <= ball.kappa + 1e-12:
             return _zero_rate_report(mu_star, pk)
-    lp = invariant_ball_lp(
-        spec, model.restrict_support, model.effective_radius, ball=ball, fixed_nu=fixed_nu
-    )
-    res = lp.solve(np.zeros(lp.n_vars))
+    lp = poly.ball_lp()
+    res = lp.solve(np.zeros(poly.count))
     if res.status == 2:
         return None
     if res.status != 0:  # pragma: no cover - feasibility LPs are bounded
@@ -133,14 +129,14 @@ def _solve_rate(
 ) -> RateReport:
     """Minimize ``sum tau ln(tau / sigma)`` over the invariant-kernel
     polytope: at a fixed law, or over all laws, optionally inside a ball."""
-    zero = _try_zero_rate(spec, model, ball, fixed_nu)
+    poly = InvariantPolytope(spec, model.restrict_support, model.effective_radius, ball, fixed_nu)
+    zero = _try_zero_rate(spec, poly, fixed_nu)
     if zero is not None:
         return zero
 
-    poly = InvariantPolytope(spec, model.restrict_support, model.effective_radius, ball, fixed_nu)
     a_eq, b_eq = poly.equalities()
     terms = [Term(poly.sigma(x, y), numer_var=int(poly.tau_ids[x, y])) for x, y in poly.taus()]
-    prog = _entropic.EntropicProgram(poly.count, a_eq, b_eq, terms)
+    prog = _entropic.EntropicProgram(poly.count, a_eq.toarray(), b_eq, terms)
     sol = _entropic.solve(prog, z0=poly.start())
     if not sol.feasible or sol.status == "degenerate":
         if fixed_nu is not None:

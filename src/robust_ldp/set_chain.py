@@ -9,7 +9,9 @@ the extreme occupation mass over the set
       Wasserstein-1 radius r of the nominal row pi(x), nu-a.s. }
 
 is maximized/minimized, with the absolutely-continuous variant adding the
-support pattern of the nominal kernel as hard zeros.
+support pattern of the nominal kernel as hard zeros.  ``InvariantPolytope``
+numbers the variables of this set, shared with the rate programs, and
+emits its rows as one sparse matrix, which HiGHS takes in CSC form.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from ._entropic import Affine
@@ -171,9 +174,11 @@ class InvariantPolytope:
     and for r > 0 each row has a coupling gamma^x of nu[x] pi(x) to the
     worst-case row mass sigma[x] whose cost plus a slack is r nu[x]; at
     r = 0, sigma[x] = nu[x] pi(x).  Variables are numbered tau (x-major),
-    gamma^x, the slacks, nu, and, with a target ball, the coupling g0 of
-    nu to the ball's centre and the slack s0 of its budget.  A fixed law is
-    a constant, and only the states it visits carry variables.
+    gamma^x (x, then the source i in the support of pi(x), then the target
+    j), the slacks, nu, and, with a target ball, the coupling g0 of nu to
+    the ball's centre and the slack s0 of its budget.  Index arrays hold -1
+    where a variable is absent.  A fixed law is a constant, and only the
+    states it visits carry variables.
     """
 
     def __init__(
@@ -185,7 +190,6 @@ class InvariantPolytope:
         fixed_nu: Dist | None = None,
     ):
         n = spec.space.n
-        pk = spec.kernel.rows
         self.spec = spec
         self.restrict = restrict
         self.r = radius
@@ -193,21 +197,16 @@ class InvariantPolytope:
         self.fixed = None if fixed_nu is None else fixed_nu.p
         self.states = np.arange(n) if fixed_nu is None else np.where(fixed_nu.p > MASS_ZERO)[0]
         self.count = 0
-        self.tau_ids = -np.ones((n, n), dtype=np.int64)
-        for x in self.states:
-            for y in self.states:
-                if not (restrict and pk[x, y] <= MASS_ZERO):
-                    self.tau_ids[x, y] = self._take(1)[0]
+        self.live = spec.kernel.rows > MASS_ZERO
+        on = np.zeros(n, dtype=bool)
+        on[self.states] = True
+        self.reach = self.live if restrict else np.ones((n, n), dtype=bool)
+        self.tau_ids = self._number(on[:, None] & on[None, :] & self.reach)
         if radius > 0.0:
-            self.rows_x = {x: np.where(pk[x] > MASS_ZERO)[0] for x in self.states}
-            self.cols_x = {x: self.rows_x[x] if restrict else np.arange(n) for x in self.states}
-            self.gam_ids = {
-                x: self._take(self.rows_x[x].size * self.cols_x[x].size).reshape(
-                    self.rows_x[x].size, -1
-                )
-                for x in self.states
-            }
-            self.slack_ids = {x: self._take(1)[0] for x in self.states}
+            # gamma^x ships mass from i in the support of pi(x) to j in reach
+            reach = self.reach[:, None]
+            self.gam_ids = self._number(on[:, None, None] & self.live[:, :, None] & reach)
+            self.slack_ids = self._number(on)
         self.nu_ids = self._take(n) if fixed_nu is None else None
         if ball is not None:
             self.cols0 = np.where(ball.center.support())[0]
@@ -221,62 +220,102 @@ class InvariantPolytope:
         self.count += k
         return ids
 
+    def _number(self, mask: np.ndarray) -> np.ndarray:
+        ids = np.full(mask.shape, -1, dtype=np.int64)
+        ids[mask] = self._take(int(mask.sum()))
+        return ids
+
     def taus(self) -> np.ndarray:
         """The (x, y) pairs that carry a tau variable, in numbering order."""
         return np.argwhere(self.tau_ids >= 0)
 
-    def equalities(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rows ``a z = b``: total mass (free law only), the row and column
-        sums of tau, each coupling's row marginals and budget, then the
-        ball coupling's marginals and budget."""
+    def equalities(self, ball_rows: bool = False) -> tuple[sp.csc_array, np.ndarray]:
+        """Rows ``a z = b`` as one sparse matrix without stored zeros: total
+        mass (free law only), the row and column sums of tau, each
+        coupling's row marginals and budget, then the ball coupling's
+        marginals and budget.  With ``ball_rows``, the rows
+        sigma[x] = tau[x] follow, one per visited x and target y where
+        either side is present."""
+        n = self.spec.space.n
         pk = self.spec.kernel.rows
         d = self.spec.space.dist
-        rows: list[np.ndarray] = []
-        rhs: list[float] = []
+        states = self.states
+        pos = np.full(n, -1)
+        pos[states] = np.arange(states.size)
+        parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        rhs: list[np.ndarray] = []
+        count = 0
 
-        def eq(ids, coefs, b=0.0, x=None, c=1.0):
-            # coefs @ z[ids] = b + c nu[x]; a free nu[x] moves to the left.
-            row = np.zeros(self.count)
-            row[ids] += coefs
-            if x is not None and self.nu_ids is None:
-                b = float(c * self.fixed[x])
-            elif x is not None:
-                row[self.nu_ids[x]] -= c
-            rows.append(row)
-            rhs.append(b)
+        def add(row, col, val, b=None, x=None, c=1.0):
+            # Rows from ``count`` on, with entries ``val`` at (row, col).  With
+            # ``x``, row k also holds -c[k] nu[x[k]], which a fixed law moves
+            # to the right side; otherwise the right side is ``b``.
+            nonlocal count
+            if x is not None:
+                c = np.full(x.shape, c)
+                if self.nu_ids is None:
+                    b = c * self.fixed[x]
+                else:
+                    b = np.zeros(x.size)
+                    parts.append((count + np.arange(x.size), self.nu_ids[x], -c))
+            parts.append((count + row, col, np.full(row.shape, val)))
+            rhs.append(np.asarray(b, dtype=np.float64))
+            count += rhs[-1].size
 
         if self.nu_ids is not None:
-            eq(self.nu_ids, 1.0, b=1.0)
-        for x in self.states:
-            eq(self.tau_ids[x][self.tau_ids[x] >= 0], 1.0, x=x)
-        for y in self.states:
-            eq(self.tau_ids[:, y][self.tau_ids[:, y] >= 0], 1.0, x=y)
+            add(np.zeros(n, dtype=np.int64), self.nu_ids, 1.0, b=[1.0])
+        tx, ty = self.taus().T
+        tau = self.tau_ids[tx, ty]
+        add(pos[tx], tau, 1.0, x=states)
+        add(pos[ty], tau, 1.0, x=states)
         if self.r > 0.0:
-            for x in self.states:
-                for a, i in enumerate(self.rows_x[x]):
-                    eq(self.gam_ids[x][a], 1.0, x=x, c=float(pk[x, i]))
-                cost = d[np.ix_(self.rows_x[x], self.cols_x[x])].ravel()
-                ids = np.append(self.gam_ids[x].ravel(), self.slack_ids[x])
-                eq(ids, np.append(cost, 1.0), x=x, c=self.r)
+            gx, gi, gj = np.nonzero(self.gam_ids >= 0)
+            gam = self.gam_ids[gx, gi, gj]
+            # Per state, a marginal row for each i in the support of pi(x),
+            # then the budget row (column n).
+            block = np.column_stack([self.live[states], np.ones(states.size, dtype=bool)])
+            row_id = np.cumsum(block).reshape(block.shape) - 1
+            bx, bi = np.nonzero(block)
+            add(
+                np.concatenate([row_id[pos[gx], gi], row_id[pos[gx], n], row_id[:, n]]),
+                np.concatenate([gam, gam, self.slack_ids[states]]),
+                np.concatenate([np.ones(gam.size), d[gi, gj], np.ones(states.size)]),
+                x=states[bx],
+                c=np.column_stack([pk, np.full(n, self.r)])[states[bx], bi],
+            )
         if self.ball is not None:
-            for k, x in enumerate(self.states):
-                eq(self.g0_ids[k], 1.0, x=x)
-            for k, j in enumerate(self.cols0):
-                eq(self.g0_ids[:, k], 1.0, b=float(self.ball.center.p[j]))
-            cost = d[np.ix_(self.states, self.cols0)].ravel()
-            ids = np.append(self.g0_ids.ravel(), self.s0_id)
-            eq(ids, np.append(cost, 1.0), b=float(self.ball.kappa))
-        return np.array(rows), np.array(rhs)
+            k, j = np.indices(self.g0_ids.shape)
+            g0 = self.g0_ids.ravel()
+            add(k.ravel(), g0, 1.0, x=states)
+            add(j.ravel(), g0, 1.0, b=self.ball.center.p[self.cols0])
+            cost = d[np.ix_(states, self.cols0)].ravel()
+            zero = np.zeros(g0.size + 1, dtype=np.int64)
+            add(zero, np.append(g0, self.s0_id), np.append(cost, 1.0), b=[self.ball.kappa])
+        if ball_rows:
+            sigma = self.reach if self.r > 0.0 else self.live
+            present = ((self.tau_ids >= 0) | sigma)[states]
+            row_id = np.cumsum(present).reshape(present.shape) - 1
+            sx, sy = np.nonzero(present)
+            if self.r > 0.0:
+                row = np.append(row_id[pos[tx], ty], row_id[pos[gx], gj])
+                val = np.append(np.ones(tau.size), -np.ones(gam.size))
+                add(row, np.append(tau, gam), val, b=np.zeros(sx.size))
+            else:
+                x = states[sx]
+                c = np.where(self.live[x, sy], pk[x, sy], 0.0)
+                add(row_id[pos[tx], ty], tau, 1.0, x=x, c=c)
+        row, col, val = (np.concatenate(t) for t in zip(*parts))
+        keep = val != 0.0
+        a = sp.csc_array((val[keep], (row[keep], col[keep])), shape=(count, self.count))
+        return a, np.concatenate(rhs)
 
     def sigma(self, x: int, y: int) -> Affine | None:
         """The worst-case row mass sigma[x, y] as an affine expression, or
         None where it vanishes identically."""
         if self.r > 0.0:
-            hit = np.where(self.cols_x[x] == y)[0]
-            if hit.size == 0:
-                return None
-            col = self.gam_ids[x][:, hit[0]]
-            return Affine(col, np.ones(col.size))
+            col = self.gam_ids[x, :, y]
+            col = col[col >= 0]
+            return Affine(col, np.ones(col.size)) if col.size else None
         p = float(self.spec.kernel.rows[x, y])
         if p <= MASS_ZERO:
             return None
@@ -293,15 +332,15 @@ class InvariantPolytope:
         pk = self.spec.kernel.rows
         d = self.spec.space.dist
         nu = self.fixed
+        cols = np.arange(self.spec.space.n)
         z0 = np.zeros(self.count)
         for x, y in self.taus():
             z0[self.tau_ids[x, y]] = nu[x] * nu[y]
-        dsub = {x: d[np.ix_(self.rows_x[x], self.cols_x[x])] for x in self.states}
-        spread = max(float(pk[x, self.rows_x[x]] @ dsub[x].mean(axis=1)) for x in self.states)
+        rows = {x: np.where(self.live[x])[0] for x in self.states}
+        spread = max(float(pk[x, rows[x]] @ d[rows[x]].mean(axis=1)) for x in self.states)
         for x in self.states:
-            rows, cols = self.rows_x[x], self.cols_x[x]
-            g, cost = coupling_start(nu[x] * pk[x], rows, cols, dsub[x], self.r, spread)
-            z0[self.gam_ids[x].ravel()] = g.ravel()
+            g, cost = coupling_start(nu[x] * pk[x], rows[x], cols, d[rows[x]], self.r, spread)
+            z0[self.gam_ids[x, rows[x]]] = g
             z0[self.slack_ids[x]] = self.r * nu[x] - cost
         return z0
 
@@ -319,78 +358,36 @@ class InvariantPolytope:
             row[mask] = z[self.tau_ids[x][mask]]
             q[x] = row / nu[x]
             if self.r > 0.0:
-                sig = np.zeros(n)
-                sig[self.cols_x[x]] = z[self.gam_ids[x]].sum(axis=0)
-                pihat[x] = sig / nu[x]
+                ids = self.gam_ids[x][self.live[x]]
+                pihat[x] = np.where(ids >= 0, z[ids], 0.0).sum(axis=0) / nu[x]
         return q, pihat
+
+    def ball_lp(self) -> InvariantBallLP:
+        """The polytope as LP data: its equalities and the rows
+        sigma[x] = tau[x]."""
+        return InvariantBallLP(self, *self.equalities(ball_rows=True))
 
 
 @dataclass
 class InvariantBallLP:
-    """The invariant-kernel polytope as LP data: its equalities plus the
-    rows sigma[x] = tau[x] that put every visited row of q inside the W1
-    ball around the nominal row.  Budgets carry slacks, so ``a_ub`` is
-    empty."""
+    """The invariant-kernel polytope as an LP over z >= 0 with sparse
+    equality rows; budgets carry slacks, so there are no inequalities."""
 
-    n_vars: int
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-    a_ub: np.ndarray
-    b_ub: np.ndarray
-    nu_ids: np.ndarray | None  # None for a fixed law
     polytope: InvariantPolytope
+    a_eq: sp.csc_array
+    b_eq: np.ndarray
 
     def solve(self, c: np.ndarray):
         return linprog(
-            c,
-            A_ub=self.a_ub if self.a_ub.size else None,
-            b_ub=self.b_ub if self.b_ub.size else None,
-            A_eq=self.a_eq,
-            b_eq=self.b_eq,
-            bounds=(0, None),
-            method="highs",
-            options=LP_OPTIONS,
+            c, A_eq=self.a_eq, b_eq=self.b_eq, bounds=(0, None), method="highs", options=LP_OPTIONS
         )
 
     def extract(self, x: np.ndarray) -> tuple[Dist, Kernel]:
+        poly = self.polytope
         z = np.clip(x, 0.0, None)
-        nu = self.polytope.fixed if self.nu_ids is None else z[self.nu_ids]
-        q, _ = self.polytope.kernels(z, nu)
+        nu = poly.fixed if poly.nu_ids is None else z[poly.nu_ids]
+        q, _ = poly.kernels(z, nu)
         return Dist(nu / nu.sum()), Kernel(q)
-
-
-def invariant_ball_lp(
-    spec: ChainSpec,
-    restrict: bool,
-    radius: float,
-    ball: BallSet | None = None,
-    fixed_nu: Dist | None = None,
-) -> InvariantBallLP:
-    poly = InvariantPolytope(spec, restrict, radius, ball, fixed_nu)
-    a_eq, b_eq = poly.equalities()
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    for x in poly.states:
-        for y in range(spec.space.n):
-            tau, sigma = poly.tau_ids[x, y], poly.sigma(x, y)
-            if tau < 0 and sigma is None:
-                continue
-            row = np.zeros(poly.count)
-            if tau >= 0:
-                row[tau] = 1.0
-            if sigma is not None:
-                row[sigma.idx] -= sigma.coef
-            rows.append(row)
-            rhs.append(0.0 if sigma is None else sigma.const)
-    return InvariantBallLP(
-        poly.count,
-        np.vstack([a_eq, *rows]),
-        np.append(b_eq, rhs),
-        np.zeros((0, poly.count)),
-        np.zeros(0),
-        poly.nu_ids,
-        poly,
-    )
 
 
 def _check_indicator(model: DivergenceModel):
@@ -409,13 +406,14 @@ def envelope(
         raise ValueError("threads must be >= 1")
     model = resolve_model(model, spec.radius)
     _check_indicator(model)
-    lp = invariant_ball_lp(spec, model.restrict_support, model.effective_radius)
+    poly = InvariantPolytope(spec, model.restrict_support, model.effective_radius)
+    lp = poly.ball_lp()
     n = spec.space.n
 
     def solve_one(job):
         x, sign = job
-        c = np.zeros(lp.n_vars)
-        c[lp.nu_ids[x]] = sign
+        c = np.zeros(poly.count)
+        c[poly.nu_ids[x]] = sign
         res = lp.solve(c)
         if res.status != 0:  # pragma: no cover - polytope is never empty
             raise RuntimeError(f"envelope LP failed for state {x}: {res.message}")
@@ -444,9 +442,12 @@ def robust_functional_bound(
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (spec.space.n,):
         raise ValueError("weights length does not match the state count")
-    lp = invariant_ball_lp(spec, model.restrict_support, model.effective_radius)
-    c = np.zeros(lp.n_vars)
-    c[lp.nu_ids] = -w
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
+    poly = InvariantPolytope(spec, model.restrict_support, model.effective_radius)
+    lp = poly.ball_lp()
+    c = np.zeros(poly.count)
+    c[poly.nu_ids] = -w
     res = lp.solve(c)
     if res.status != 0:  # pragma: no cover
         raise RuntimeError(f"functional-bound LP failed: {res.message}")

@@ -122,3 +122,29 @@ def certificate_corpus(count=8, seed=4242):
         ball = BallSet(Dist.dirac(int(rng.integers(n)), n), 0.2 * space.diameter)
         out.append((spec, k % 4 >= 2, ball))
     return out
+
+
+def polytope_chains(seed=5151):
+    """One chain per state count 3..8 and metric (discrete, Euclidean),
+    with most rows missing one entry (so the AC variants restrict) and a
+    positive radius, plus per chain a target ball whose centre has at
+    least two atoms and a fixed law that leaves some states unvisited."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for n in range(3, 9):
+        for discrete in (True, False):
+            space = random_metric(rng, n, discrete=discrete)
+            rows = random_kernel(rng, n).rows.copy()
+            for x in range(n):
+                if rng.random() < 0.7:
+                    rows[x, (x + 1 + rng.integers(n - 1)) % n] = 0.0
+            kernel = Kernel.from_matrix(rows / rows.sum(axis=1, keepdims=True))
+            r = float(rng.uniform(0.02, 0.12))
+            spec = ChainSpec.build(space, random_simplex(rng, n), kernel, r)
+            center = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.6)
+            center[rng.choice(n, 2, replace=False)] += 0.2
+            ball = BallSet(Dist.from_values(center / center.sum()), 0.2 * space.diameter)
+            fixed = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.7)
+            fixed[rng.integers(n)] += 0.2
+            out.append((spec, ball, Dist.from_values(fixed / fixed.sum())))
+    return out

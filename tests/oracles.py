@@ -12,6 +12,8 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
+from robust_ldp.chain_core import MASS_ZERO
+
 
 def kl2(x, u):
     """KL divergence of (x, 1-x) against (u, 1-u), elementwise over arrays."""
@@ -284,3 +286,65 @@ def entropic_grad_hess(terms, z, n):
             g[idx] -= (p / v) * c
             h[np.ix_(idx, idx)] += (p / v**2) * np.outer(c, c)
     return g, h
+
+
+def dense_polytope_rows(poly, ball_rows=False):
+    """Dense rows ``a z = b`` of a ``set_chain.InvariantPolytope``, built one
+    row at a time from its variable layout: the polytope's equalities and,
+    with ``ball_rows``, the rows sigma[x] = tau[x], in the same order."""
+    pk = poly.spec.kernel.rows
+    d = poly.spec.space.dist
+    n = poly.spec.space.n
+    rows = []
+    rhs = []
+
+    def eq(ids, coefs, b=0.0, x=None, c=1.0):
+        # coefs @ z[ids] = b + c nu[x]; a free nu[x] moves to the left.
+        row = np.zeros(poly.count)
+        row[ids] += coefs
+        if x is not None and poly.nu_ids is None:
+            b = float(c * poly.fixed[x])
+        elif x is not None:
+            row[poly.nu_ids[x]] -= c
+        rows.append(row)
+        rhs.append(b)
+
+    if poly.r > 0.0:
+        rows_x = {x: np.where(pk[x] > MASS_ZERO)[0] for x in poly.states}
+        cols_x = {x: rows_x[x] if poly.restrict else np.arange(n) for x in poly.states}
+        gam_x = {x: poly.gam_ids[x][np.ix_(rows_x[x], cols_x[x])] for x in poly.states}
+    if poly.nu_ids is not None:
+        eq(poly.nu_ids, 1.0, b=1.0)
+    for x in poly.states:
+        eq(poly.tau_ids[x][poly.tau_ids[x] >= 0], 1.0, x=x)
+    for y in poly.states:
+        eq(poly.tau_ids[:, y][poly.tau_ids[:, y] >= 0], 1.0, x=y)
+    if poly.r > 0.0:
+        for x in poly.states:
+            for a, i in enumerate(rows_x[x]):
+                eq(gam_x[x][a], 1.0, x=x, c=float(pk[x, i]))
+            cost = d[np.ix_(rows_x[x], cols_x[x])].ravel()
+            ids = np.append(gam_x[x].ravel(), poly.slack_ids[x])
+            eq(ids, np.append(cost, 1.0), x=x, c=poly.r)
+    if poly.ball is not None:
+        for k, x in enumerate(poly.states):
+            eq(poly.g0_ids[k], 1.0, x=x)
+        for k, j in enumerate(poly.cols0):
+            eq(poly.g0_ids[:, k], 1.0, b=float(poly.ball.center.p[j]))
+        cost = d[np.ix_(poly.states, poly.cols0)].ravel()
+        ids = np.append(poly.g0_ids.ravel(), poly.s0_id)
+        eq(ids, np.append(cost, 1.0), b=float(poly.ball.kappa))
+    if ball_rows:
+        for x in poly.states:
+            for y in range(n):
+                tau, sigma = poly.tau_ids[x, y], poly.sigma(x, y)
+                if tau < 0 and sigma is None:
+                    continue
+                row = np.zeros(poly.count)
+                if tau >= 0:
+                    row[tau] = 1.0
+                if sigma is not None:
+                    row[sigma.idx] -= sigma.coef
+                rows.append(row)
+                rhs.append(0.0 if sigma is None else sigma.const)
+    return np.array(rows), np.array(rhs)

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from robust_ldp import (
     ChainSpec,
@@ -14,11 +17,19 @@ from robust_ldp import (
     w1,
 )
 from robust_ldp.divergence import DivergenceModel, Variant
-from robust_ldp.set_chain import invariant_ball_lp
+from robust_ldp import set_chain
+from robust_ldp.set_chain import LP_OPTIONS, InvariantPolytope
 
-from conftest import EXAMPLE_STATIONARY, certificate_corpus, three_state_corpus
+from conftest import (
+    EXAMPLE_STATIONARY,
+    certificate_corpus,
+    polytope_chains,
+    random_kernel,
+    random_metric,
+    three_state_corpus,
+)
 
-from oracles import fixed_nu_feasible_discrete
+from oracles import dense_polytope_rows, fixed_nu_feasible_discrete
 
 
 def test_stationary_example(example_spec):
@@ -159,8 +170,8 @@ def test_extremes_attained_by_feasible_laws(example_spec):
     the kernel read off the fixed-law LP certifies it: invariant, with
     every visited row inside its ball (and, for AC, the nominal support)."""
     value, argmax = robust_functional_bound(example_spec, Variant.BALL_INDICATOR, [0, 0, 1])
-    lp = invariant_ball_lp(example_spec, False, example_spec.radius, fixed_nu=argmax)
-    res = lp.solve(np.zeros(lp.n_vars))
+    lp = InvariantPolytope(example_spec, False, example_spec.radius, fixed_nu=argmax).ball_lp()
+    res = lp.solve(np.zeros(lp.polytope.count))
     assert res.status == 0
     assert argmax.p[2] == pytest.approx(value, abs=1e-9)
 
@@ -170,8 +181,8 @@ def test_extremes_attained_by_feasible_laws(example_spec):
         model = Variant.BALL_INDICATOR_AC if ac else Variant.BALL_INDICATOR
         _, argmax = robust_functional_bound(spec, model, rng.uniform(-1, 1, spec.space.n))
         restrict = DivergenceModel(model, spec.radius).restrict_support
-        lp = invariant_ball_lp(spec, restrict, spec.radius, fixed_nu=argmax)
-        res = lp.solve(np.zeros(lp.n_vars))
+        lp = InvariantPolytope(spec, restrict, spec.radius, fixed_nu=argmax).ball_lp()
+        res = lp.solve(np.zeros(lp.polytope.count))
         assert res.status == 0
         nu, q = argmax.p, lp.extract(res.x)[1].rows
         pk = spec.kernel.rows
@@ -181,6 +192,88 @@ def test_extremes_attained_by_feasible_laws(example_spec):
             assert w1(spec.space, row, Dist(pk[x])).value <= spec.radius + 1e-9
             if ac:
                 assert np.all(q[x][pk[x] == 0.0] == 0.0)
+
+
+def test_sparse_rows_match_dense_oracle():
+    """The sparse rows equal the row-by-row dense builder exactly, in the
+    same order, with no zero stored, on every polytope shape: both metrics,
+    plain and AC, r = 0 and r > 0, with and without a target ball, free
+    and fixed law."""
+    for spec, ball, fixed in polytope_chains():
+        for radius in (0.0, spec.radius):
+            for restrict in (False, True):
+                for target in (None, ball):
+                    for law in (None, fixed):
+                        poly = InvariantPolytope(spec, restrict, radius, target, law)
+                        for ball_rows in (False, True):
+                            a, b = poly.equalities(ball_rows=ball_rows)
+                            dense, rhs = dense_polytope_rows(poly, ball_rows)
+                            assert a.format == "csc"
+                            assert a.shape == dense.shape
+                            assert np.array_equal(a.toarray(), dense)
+                            assert np.all(a.data != 0.0)
+                            assert a.nnz == np.count_nonzero(dense)
+                            assert np.array_equal(b, rhs)
+
+
+def _dense_lp(poly, c):
+    a, b = dense_polytope_rows(poly, ball_rows=True)
+    res = linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs", options=LP_OPTIONS)
+    assert res.status == 0, res.message
+    return res
+
+
+def test_lp_answers_match_dense_oracle_bitwise():
+    """``envelope`` and ``robust_functional_bound`` give, bit for bit, what
+    HiGHS gives on the dense oracle rows with the same options."""
+    rng = np.random.default_rng(77)
+    for spec, _, _ in polytope_chains():
+        n = spec.space.n
+        for model in (Variant.BALL_INDICATOR, Variant.BALL_INDICATOR_AC):
+            for s in (spec.with_radius(0.0), spec) if n <= 5 else (spec,):
+                resolved = DivergenceModel(model, s.radius)
+                poly = InvariantPolytope(s, resolved.restrict_support, resolved.effective_radius)
+                env = envelope(s, model)
+                for x in range(n):
+                    for sign, got in ((1.0, env.lo[x]), (-1.0, env.hi[x])):
+                        c = np.zeros(poly.count)
+                        c[poly.nu_ids[x]] = sign
+                        want = np.clip(sign * _dense_lp(poly, c).fun, 0.0, 1.0)
+                        assert got.tobytes() == want.tobytes()
+                w = rng.uniform(-1, 1, n)
+                value, argmax = robust_functional_bound(s, model, w)
+                c = np.zeros(poly.count)
+                c[poly.nu_ids] = -w
+                res = _dense_lp(poly, c)
+                nu = np.clip(res.x, 0.0, None)[poly.nu_ids]
+                assert value == -float(res.fun)
+                assert np.array_equal(argmax.p, nu / nu.sum())
+
+
+def test_lp_rows_stay_small_at_n20():
+    """The LP rows of a Euclidean n = 20 chain (861 x 8440, about 58 MB as
+    a dense matrix) are built in well under 10 MB."""
+    rng = np.random.default_rng(2020)
+    space = random_metric(rng, 20)
+    spec = ChainSpec.build(space, np.full(20, 0.05), random_kernel(rng, 20), 0.05)
+    tracemalloc.start()
+    try:
+        lp = InvariantPolytope(spec, False, spec.radius).ball_lp()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lp.a_eq.shape == (861, 8440)
+    assert peak < 10e6
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_functional_bound_rejects_non_finite_weights(example_spec, monkeypatch, bad):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was built for non-finite weights")
+
+    monkeypatch.setattr(set_chain, "InvariantPolytope", no_lp)
+    with pytest.raises(ValueError, match="weights"):
+        robust_functional_bound(example_spec, Variant.BALL_INDICATOR, [bad, 0.0, 0.0])
 
 
 def test_entropic_models_rejected_by_envelope(example_spec):
