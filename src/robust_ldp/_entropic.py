@@ -50,8 +50,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, qr
+from scipy.linalg import LinAlgError, qr
 from scipy.optimize import linprog
+
+from ._lapack import cho_factor, cho_solve
 
 GAP_TOL = 1e-9
 CONVERGED_KKT = 1e-8
@@ -284,7 +286,7 @@ class _Newton:
             key, p, q, j = self.ss
             cap = np.bincount(key, weights=self.s_val[p] * self.s_val[q] * d[j], minlength=k * k)
             cap = cap.reshape(k, k) + np.diag(1.0 / self.tw)
-            cinv = cho_solve(cho_factor(cap, lower=True), np.eye(k), check_finite=False)
+            cinv = cho_solve(cho_factor(cap), np.eye(k))
 
             def hinv(x):
                 y = d * x
@@ -296,10 +298,10 @@ class _Newton:
             u = np.bincount(key, weights=a_p * self.s_val[q] * d[j], minlength=m * k).reshape(m, k)
             key, aa, j = self.aa
             schur = np.bincount(key, weights=aa * d[j], minlength=m * m).reshape(m, m)
-            sf = cho_factor(schur - u @ cinv @ u.T, lower=True)
+            sf = cho_factor(schur - u @ cinv @ u.T)
 
             def solve_once(r1, r2):
-                lam = cho_solve(sf, self.amul(hinv(r1)) - r2, check_finite=False)
+                lam = cho_solve(sf, self.amul(hinv(r1)) - r2)
                 return hinv(r1 - self.atmul(lam)), lam
 
             dz, lam = solve_once(-g, rp)

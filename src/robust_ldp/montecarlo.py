@@ -6,6 +6,16 @@ fits the exponential decay rate of the hit probability across path
 lengths.  Randomness comes from counter-mode Philox streams keyed by
 (seed, length index, path block), so results are bit-identical no matter
 how the blocks are scheduled across workers.
+
+A block of BLOCK paths draws its uniforms path-major, length draws per
+path, TILE paths at a time; consecutive draws continue the stream, so
+the tiling does not change which draw a path step uses.  Each tile is
+walked time-major on the transpose of its draws: one step of every path
+in the tile is a few contiguous array operations, states are kept as
+small integers, and the occupation counts are taken once the walk ends.
+A worker thus holds O(TILE x length) floats, not the whole block.  The
+distinct count vectors go to the ball-membership test in lexicographic
+order.
 """
 
 from __future__ import annotations
@@ -23,6 +33,10 @@ from .transport import in_ball
 
 # Fixed path-block size: the unit of work and of random-stream derivation.
 BLOCK = 16384
+
+# Paths drawn and walked at a time inside a block; bounds a worker's
+# working set to a few TILE x length arrays.
+TILE = 2048
 
 # Lengths enter the slope fit only with at least this many hits; rarer
 # counts inflate the variance beyond usefulness.
@@ -122,26 +136,38 @@ def _block_hits(plan: SimPlan, length_index: int, block_index: int, count: int) 
     n = plan.lengths[length_index]
     pi0_cum = np.cumsum(spec.pi0.p)
     pi0_cum[-1] = 1.0
-    pcum = np.cumsum(plan.play_kernel.rows, axis=1)
-    pcum[:, -1] = 1.0
+    # cols[k, x] = P(x, {0..k}); the last cumulative column is 1.0 and no
+    # draw reaches it, so it never moves a state and is left out.
+    cols = np.cumsum(plan.play_kernel.rows, axis=1)[:, :-1].T.copy()
+    state_dtype = np.int8 if ns < 128 else np.intp
 
     key = np.array(
         [np.uint64(plan.seed), np.uint64((length_index << 32) | block_index)],
         dtype=np.uint64,
     )
     gen = Generator(Philox(key=key))
-    u = gen.random((count, n))
+    counts = np.empty((count, ns), dtype=np.int64)
+    for start in range(0, count, TILE):
+        m = min(TILE, count - start)
+        # Row t of u is the t-th draw of each path in the tile.
+        u = gen.random((m, n)).T.copy()
+        states = np.empty((n, m), dtype=state_dtype)
+        states[0] = np.searchsorted(pi0_cum, u[0], side="right")
+        for t in range(1, n):
+            # u >= c_k matches searchsorted(side="right"): state k owns [c_{k-1}, c_k)
+            np.greater_equal(u[t], cols.take(states[t - 1], axis=1)).sum(
+                axis=0, dtype=state_dtype, out=states[t]
+            )
+        for k in range(ns):
+            counts[start : start + m, k] = np.count_nonzero(states == k, axis=0)
 
-    state = np.searchsorted(pi0_cum, u[:, 0], side="right")
-    counts = np.zeros((count, ns), dtype=np.int64)
-    rows = np.arange(count)
-    counts[rows, state] += 1
-    for t in range(1, n):
-        state = (u[:, t][:, None] > pcum[state]).sum(axis=1)
-        counts[rows, state] += 1
-
-    uniq, mult = np.unique(counts, axis=0, return_counts=True)
-    return int(mult[in_ball(spec.space, uniq / n, plan.ball)].sum())
+    # Distinct count vectors in lexicographic order, with multiplicities.
+    counts = counts[np.lexsort(counts.T[::-1])]
+    new = np.ones(count, dtype=bool)
+    np.any(counts[1:] != counts[:-1], axis=1, out=new[1:])
+    first = np.flatnonzero(new)
+    mult = np.diff(first, append=count)
+    return int(mult[in_ball(spec.space, counts[first] / n, plan.ball)].sum())
 
 
 def simulate_paths(plan: SimPlan, threads: int | None = None) -> RateEstimate:

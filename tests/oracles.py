@@ -10,6 +10,7 @@ and kernels/occupation laws are gridded exhaustively.
 import math
 
 import numpy as np
+from numpy.random import Generator, Philox
 from scipy.optimize import linprog
 
 from robust_ldp.chain_core import MASS_ZERO
@@ -348,3 +349,35 @@ def dense_polytope_rows(poly, ball_rows=False):
                 rows.append(row)
                 rhs.append(0.0 if sigma is None else sigma.const)
     return np.array(rows), np.array(rhs)
+
+
+def block_hits_reference(plan, length_index, block_index, count):
+    """Occupation counts of one path block of ``montecarlo.simulate_paths``,
+    walked path-parallel one step at a time over the block's whole draw
+    array: the Philox stream keyed by (seed, length index << 32 | block
+    index), ``count x length`` uniforms drawn path-major, state k owning the
+    draws in [c_{k-1}, c_k) of the cumulative row.
+
+    Returns the distinct count vectors in lexicographic order and their
+    multiplicities.
+    """
+    spec = plan.spec
+    ns = spec.space.n
+    n = plan.lengths[length_index]
+    pi0_cum = np.cumsum(spec.pi0.p)
+    pi0_cum[-1] = 1.0
+    pcum = np.cumsum(plan.play_kernel.rows, axis=1)
+    pcum[:, -1] = 1.0
+    key = np.array(
+        [np.uint64(plan.seed), np.uint64((length_index << 32) | block_index)],
+        dtype=np.uint64,
+    )
+    u = Generator(Philox(key=key)).random((count, n))
+    state = np.searchsorted(pi0_cum, u[:, 0], side="right")
+    counts = np.zeros((count, ns), dtype=np.int64)
+    rows = np.arange(count)
+    counts[rows, state] += 1
+    for t in range(1, n):
+        state = (u[:, t][:, None] >= pcum[state]).sum(axis=1)
+        counts[rows, state] += 1
+    return np.unique(counts, axis=0, return_counts=True)

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,7 @@ from robust_ldp import montecarlo
 from robust_ldp.transport import BALL_ATOL
 
 from conftest import random_kernel, random_metric, random_simplex
-from oracles import w1_ball_members_by_lp
+from oracles import block_hits_reference, w1_ball_members_by_lp
 
 def small_plan(example_spec, example_ball, paths=4000, lengths=(20, 40, 60)):
     return SimPlan(example_spec, example_spec.kernel, example_ball, tuple(lengths), paths, 7)
@@ -188,3 +191,102 @@ def test_euclidean_hits_match_lp_oracle(monkeypatch, center_kind):
     monkeypatch.setattr(montecarlo, "in_ball", by_lp)
     oracle = simulate_paths(plan, threads=1)
     assert np.array_equal(one.hits, oracle.hits)
+
+
+def test_zero_draw_never_takes_a_zero_probability_transition(monkeypatch):
+    # Every draw is 0.0, the left end of state 1's interval [0, 1): a walk
+    # that lets 0.0 fall into state 0 would take the transition of
+    # probability zero and leave the ball.
+    class ZeroDraws:
+        def __init__(self, bit_generator):
+            pass
+
+        def random(self, shape):
+            return np.zeros(shape)
+
+    monkeypatch.setattr(montecarlo, "Generator", ZeroDraws)
+    spec = ChainSpec.build(MetricSpace.discrete(2), [0.0, 1.0], [[0.0, 1.0], [0.0, 1.0]], 0.0)
+    plan = SimPlan(spec, spec.kernel, BallSet(Dist.dirac(1, 2), 0.0), (5,), 10, 1)
+    assert simulate_paths(plan, threads=1).hits.tolist() == [10]
+
+
+def _walk_plans(seed=9090):
+    """Chains on 2..8 states under both metrics, every other one with a zero
+    entry in each kernel row; Dirac, two-point and uniform centers; lengths
+    1, 2 and 40; path counts around the tile and block sizes; and one chain
+    on 130 states."""
+    rng = np.random.default_rng(seed)
+    path_counts = (1, montecarlo.TILE - 1, montecarlo.TILE + 1, montecarlo.BLOCK + 1)
+    centers = ("dirac", "two-point", "uniform")
+    plans = []
+    for i, (ns, discrete) in enumerate(itertools.product(range(2, 9), (True, False))):
+        space = random_metric(rng, ns, discrete=discrete)
+        rows = random_kernel(rng, ns).rows.copy()
+        zeros = (ns + discrete) % 2
+        if zeros:
+            rows[np.arange(ns), rng.integers(ns, size=ns)] = 0.0
+            rows /= rows.sum(axis=1, keepdims=True)
+        spec = ChainSpec.build(space, random_simplex(rng, ns).p, rows, 0.05)
+        kind = centers[i % 3]
+        if kind == "dirac":
+            center = Dist.dirac(int(rng.integers(ns)), ns)
+        elif kind == "two-point":
+            center = np.zeros(ns)
+            center[rng.choice(ns, 2, replace=False)] = (0.4, 0.6)
+            center = Dist(center)
+        else:
+            center = Dist(np.full(ns, 1.0 / ns))
+        ball = BallSet(center, 0.3 * space.diameter)
+        npaths = path_counts[(ns + i) % 4]
+        plan = SimPlan(spec, spec.kernel, ball, (1, 2, 40), npaths, int(rng.integers(2**32)))
+        name = f"ns{ns}-{'discrete' if discrete else 'euclid'}-{kind}-{npaths}{'-zeros' if zeros else ''}"
+        plans.append(pytest.param(plan, id=name))
+    # More states than int8 state labels hold.  The parts are valid by
+    # construction; ChainSpec.build's O(n^3) metric check would take seconds.
+    ns = 130
+    spec = ChainSpec(
+        MetricSpace.discrete(ns), random_simplex(rng, ns), random_kernel(rng, ns, floor=0.0), 0.05
+    )
+    ball = BallSet(Dist.dirac(0, ns), 0.9)
+    plan = SimPlan(spec, spec.kernel, ball, (1, 2, 40), montecarlo.TILE + 1, 17)
+    plans.append(pytest.param(plan, id=f"ns{ns}-discrete-dirac-{montecarlo.TILE + 1}"))
+    return plans
+
+
+@pytest.mark.parametrize("plan", _walk_plans())
+def test_walk_matches_path_parallel_reference(monkeypatch, plan):
+    seen = []
+    in_ball = montecarlo.in_ball
+
+    def recording_in_ball(space, probs, ball):
+        mask = in_ball(space, probs, ball)
+        seen.append((probs.copy(), mask))
+        return mask
+
+    monkeypatch.setattr(montecarlo, "in_ball", recording_in_ball)
+    est = simulate_paths(plan, threads=1)
+
+    seen = iter(seen)
+    npaths = plan.paths_per_length
+    for li, n in enumerate(plan.lengths):
+        hits = 0
+        for bi, start in enumerate(range(0, npaths, montecarlo.BLOCK)):
+            rows, mult = block_hits_reference(plan, li, bi, min(montecarlo.BLOCK, npaths - start))
+            probs, mask = next(seen)
+            # same distinct rows, in the same order, so in_ball decides them alike
+            assert np.array_equal(probs, rows / n)
+            hits += int(mult[mask].sum())
+        assert est.hits[li] == hits
+
+
+def test_block_working_set_is_bounded(example_spec, example_ball):
+    plan = SimPlan(example_spec, example_spec.kernel, example_ball, (160,), montecarlo.BLOCK, 5)
+    montecarlo._block_hits(plan, 0, 0, montecarlo.BLOCK)
+    tracemalloc.start()
+    try:
+        montecarlo._block_hits(plan, 0, 0, montecarlo.BLOCK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 16384 paths x 160 steps of float64 draws alone would be 21 MB
+    assert peak < 12e6
