@@ -232,27 +232,29 @@ def validate_metric(space: MetricSpace) -> list[Violation]:
     for i in range(n):
         if d[i, i] != 0.0:
             out.append(Violation(f"$.metric[{i}][{i}]", "nonzero diagonal", float(abs(d[i, i]))))
+    iu, ju = np.triu_indices(n, 1)
+    asym = d[iu, ju] != d[ju, iu]
+    nonpos = d[iu, ju] <= 0.0
+    for t in np.flatnonzero(asym | nonpos):
+        i, j = iu[t], ju[t]
+        if asym[t]:
+            out.append(
+                Violation(f"$.metric[{i}][{j}]", "asymmetric entry", float(abs(d[i, j] - d[j, i])))
+            )
+        if nonpos[t]:
+            out.append(Violation(f"$.metric[{i}][{j}]", "non-positive off-diagonal distance", float(d[i, j])))
+    # Triangle check, always on: for each i, one (j, k) array of the gaps
+    # d[i, k] - (d[i, j] + d[j, k]).
     for i in range(n):
-        for j in range(i + 1, n):
-            if d[i, j] != d[j, i]:
-                out.append(
-                    Violation(f"$.metric[{i}][{j}]", "asymmetric entry", float(abs(d[i, j] - d[j, i])))
+        gap = d[i][None, :] - (d[i][:, None] + d)
+        for j, k in np.argwhere(gap > 1e-12 * np.maximum(1.0, d[i])[None, :]):
+            out.append(
+                Violation(
+                    f"$.metric[{i}][{k}]",
+                    f"triangle inequality fails via {j}: d[{i}][{k}] > d[{i}][{j}] + d[{j}][{k}]",
+                    float(gap[j, k]),
                 )
-            if d[i, j] <= 0.0:
-                out.append(Violation(f"$.metric[{i}][{j}]", "non-positive off-diagonal distance", float(d[i, j])))
-    # O(n^3) triangle check, always on: desk-scale n makes this free.
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                gap = d[i, k] - (d[i, j] + d[j, k])
-                if gap > 1e-12 * max(1.0, d[i, k]):
-                    out.append(
-                        Violation(
-                            f"$.metric[{i}][{k}]",
-                            f"triangle inequality fails via {j}: d[{i}][{k}] > d[{i}][{j}] + d[{j}][{k}]",
-                            float(gap),
-                        )
-                    )
+            )
     return out
 
 

@@ -2,27 +2,30 @@
 ergodicity-condition checks, Cesaro averages, and envelopes of all
 distributions that admit an invariant kernel inside the robustness ball.
 
-The envelope computations are pure linear programs: for each coordinate,
-the extreme occupation mass over the set
+The envelope and the functional bounds are extreme values of ``<w, nu>``
+over the set
 
     { nu : exists kernel q with nu q = nu and every row q(x) within
       Wasserstein-1 radius r of the nominal row pi(x), nu-a.s. }
 
-is maximized/minimized, with the absolutely-continuous variant adding the
-support pattern of the nominal kernel as hard zeros.  ``InvariantPolytope``
-numbers the variables of this set, shared with the rate programs, and
-emits its rows as one sparse matrix, which HiGHS takes in CSC form.
+with the absolutely-continuous variant keeping each row inside the
+support of pi(x).  Such a value is the optimal gain of an average-reward
+MDP whose action at x is a row of the ball, so policy iteration on
+``transport.ball_sup`` computes it with a certified bracket and no LP.
+``InvariantPolytope`` numbers the variables of the same set for the rate
+programs and emits its rows as one sparse matrix, which HiGHS takes in
+CSC form.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
+from . import transport
 from ._entropic import Affine
 from .chain_core import MASS_ZERO, BallSet, ChainSpec, Dist, Kernel
 from .divergence import DivergenceModel, Variant, coupling_start, resolve_model
@@ -31,9 +34,22 @@ from .divergence import DivergenceModel, Variant, coupling_start, resolve_model
 # rows carry no constraint and are reported as the nominal ones.
 NU_MASS_TOL = 1e-10
 
+# Width, per unit of max(1, max |w|), at which a law-of-large-numbers
+# value is accepted from its certified bracket; a wider bracket is never
+# reported as a value.
+BRACKET_TOL = 1e-10
+
+# Policy-iteration sweeps of ``envelope``/``robust_functional_bound``
+# before an open bracket is an error.
+MAX_SWEEPS = 200
+
+# Weight of the gain against the bias in the next greedy step, so that
+# moving mass to a class of higher gain wins over any bias difference.
+GAIN_WEIGHT = 1e3
+
 # HiGHS primal feasibility tolerance for the invariant-kernel LPs.  At the
-# default 1e-7, optimal points go negative by ~5e-8 and envelope masses of
-# order 1e-6 come out up to 1e-8 off, depending on the row layout.
+# default 1e-7, optimal points go negative by ~5e-8 and occupation masses
+# of order 1e-6 come out up to 1e-8 off, depending on the row layout.
 LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10}
 
 
@@ -166,7 +182,7 @@ def check_conditions(spec: ChainSpec, max_exponent: int | None = None) -> Condit
 
 class InvariantPolytope:
     """Variable layout of the invariant-kernel polytope, shared by the rate
-    programs and the law-of-large-numbers LPs.
+    programs and the zero-rate feasibility LP.
 
     The polytope holds the laws nu that admit a kernel q with nu q = nu and
     every visited row q(x) within W1 radius ``radius`` of the nominal row
@@ -400,34 +416,18 @@ def envelope(
     model: DivergenceModel | Variant = Variant.BALL_INDICATOR,
     threads: int | None = None,
 ) -> Envelope:
-    """Per-state extreme occupation masses over the invariant-ball polytope:
-    2n linear programs, independently dispatchable."""
+    """Per-state extreme occupation masses over the invariant-ball set: the
+    2n functionals ``-e_x`` and ``e_x`` iterated as one (n, 2n) array.
+    ``threads`` is validated and has no effect."""
     if threads is not None and threads < 1:
         raise ValueError("threads must be >= 1")
-    model = resolve_model(model, spec.radius)
-    _check_indicator(model)
-    poly = InvariantPolytope(spec, model.restrict_support, model.effective_radius)
-    lp = poly.ball_lp()
     n = spec.space.n
-
-    def solve_one(job):
-        x, sign = job
-        c = np.zeros(poly.count)
-        c[poly.nu_ids[x]] = sign
-        res = lp.solve(c)
-        if res.status != 0:  # pragma: no cover - polytope is never empty
-            raise RuntimeError(f"envelope LP failed for state {x}: {res.message}")
-        return sign * res.fun
-
-    jobs = [(x, 1.0) for x in range(n)] + [(x, -1.0) for x in range(n)]
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals = list(pool.map(solve_one, jobs))
-    else:
-        vals = [solve_one(j) for j in jobs]
-    lo = np.array(vals[:n])
-    hi = np.array(vals[n:])
-    return Envelope(np.clip(lo, 0.0, 1.0), np.clip(hi, 0.0, 1.0))
+    eye = np.eye(n)
+    values, _ = _robust_gain(spec, model, np.hstack([-eye, eye]))
+    # + 0.0 turns -0.0 into 0.0
+    lo = np.clip(-values[:n], 0.0, 1.0) + 0.0
+    hi = np.clip(values[n:], 0.0, 1.0) + 0.0
+    return Envelope(lo, hi)
 
 
 def robust_functional_bound(
@@ -436,23 +436,127 @@ def robust_functional_bound(
     weights,
 ) -> tuple[float, Dist]:
     """Upper law-of-large-numbers bound for the linear functional
-    ``nu -> weights @ nu``; negate the weights for the lower bound."""
-    model = resolve_model(model, spec.radius)
-    _check_indicator(model)
+    ``nu -> weights @ nu``, with a law attaining it; negate the weights
+    for the lower bound."""
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (spec.space.n,):
         raise ValueError("weights length does not match the state count")
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
-    poly = InvariantPolytope(spec, model.restrict_support, model.effective_radius)
-    lp = poly.ball_lp()
-    c = np.zeros(poly.count)
-    c[poly.nu_ids] = -w
-    res = lp.solve(c)
-    if res.status != 0:  # pragma: no cover
-        raise RuntimeError(f"functional-bound LP failed: {res.message}")
-    nu, _ = lp.extract(res.x)
-    return -float(res.fun), nu
+    values, laws = _robust_gain(spec, model, w[:, None])
+    # + 0.0 turns -0.0 into 0.0
+    return float(values[0]) + 0.0, Dist(laws[0] + 0.0)
+
+
+def _robust_gain(
+    spec: ChainSpec, model: DivergenceModel | Variant, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``max <w[:, c], nu>`` over the invariant-ball set for each column c,
+    and a law attaining it.
+
+    This is the largest optimal gain of the average-reward MDP whose action
+    at x is a row in the ball around pi(x), with ``T v = w + ball_sup(pi,
+    v)`` (Puterman 1994, ch. 9).  Every sweep brackets it: from above by
+    ``max_x (T v - v)(x)``, which holds for any v, and from below by the
+    best closed class of the greedy kernel, whose invariant law is
+    admissible.  The greedy kernel keeps the previous row wherever that row
+    is as good, and its multichain evaluation (gain g, bias h) gives the
+    next ``v = h + GAIN_WEIGHT (g - max g)``: Howard's policy iteration,
+    where a single closed class makes g constant and v the bias.  A value
+    is returned only from a bracket of width BRACKET_TOL.
+    """
+    model = resolve_model(model, spec.radius)
+    _check_indicator(model)
+    pk, d = spec.kernel.rows, spec.space.dist
+    r = model.effective_radius
+    allow = pk > MASS_ZERO if model.restrict_support else None
+    n, k = w.shape
+    tol = BRACKET_TOL * np.maximum(1.0, np.abs(w).max(axis=0))
+    v, gain = np.zeros((n, k)), np.zeros((n, k))
+    policy = np.zeros((k, n, n))
+    lower, upper = np.full(k, -np.inf), np.full(k, np.inf)
+    laws = np.zeros((k, n))
+    cols = np.arange(k)
+    for sweep in range(MAX_SWEEPS):
+        tv, q = transport.ball_sup(pk, v[:, cols], d, r, allow, argmax=True)
+        tv += w[:, cols]
+        upper[cols] = np.minimum(upper[cols], (tv - v[:, cols]).max(axis=0))
+        q = q.transpose(1, 0, 2)
+        if sweep:
+            # Rows that cannot gain more than rounding stay as they were.
+            stay = tv - v[:, cols] - gain[:, cols] <= 0.1 * tol[cols]
+            q = np.where(stay.T[:, :, None], policy[cols], q)
+        value, nu, home = _best_class(q, w[:, cols])
+        better = value > lower[cols]
+        lower[cols[better]] = value[better]
+        laws[cols[better]] = nu[better]
+        policy[cols] = q
+        open_ = upper[cols] - lower[cols] > tol[cols]
+        if not open_.any():
+            return lower, laws
+        g, h = _evaluate(q[open_], w[:, cols[open_]], home[open_])
+        cols = cols[open_]
+        gain[:, cols] = g.T
+        v[:, cols] = (h + GAIN_WEIGHT * (g - g.max(axis=1, keepdims=True))).T
+    width = float(np.max(upper - lower))
+    raise RuntimeError(
+        f"law-of-large-numbers bracket is still {width:.3g} wide after {MAX_SWEEPS} sweeps"
+    )
+
+
+def _best_class(q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each kernel ``q[c]``: the best ``<w[:, c], nu>`` over the invariant
+    laws nu of its closed classes, that law, and per state the first state
+    of its closed class (-1 on transient states)."""
+    k, n, _ = q.shape
+    # Reachability by repeated squaring; x is recurrent when every state it
+    # reaches reaches it back.
+    reach = (q > 0.0) | np.eye(n, dtype=bool)
+    for _ in range((n - 1).bit_length()):
+        reach = np.matmul(reach, reach)
+    both = reach & reach.transpose(0, 2, 1)
+    home = np.where((reach == both).all(axis=2), both.argmax(axis=2), -1)
+    col, first = np.nonzero(home == np.arange(n))
+    members = both[col, first]
+    size = members.sum(axis=1)
+    laws = np.zeros((col.size, n))
+    for s in np.unique(size):
+        pick = np.flatnonzero(size == s)
+        idx = np.nonzero(members[pick])[1].reshape(pick.size, s)
+        c = col[pick]
+        # nu (q_CC - I) = 0 with the last equation replaced by sum(nu) = 1
+        a = q[c[:, None, None], idx[:, None, :], idx[:, :, None]] - np.eye(s)
+        a[:, -1, :] = 1.0
+        rhs = np.zeros((pick.size, s, 1))
+        rhs[:, -1] = 1.0
+        nu = np.clip(np.linalg.solve(a, rhs)[:, :, 0], 0.0, None)
+        laws[pick[:, None], idx] = nu / nu.sum(axis=1, keepdims=True)
+    value = np.einsum("cn,nc->c", laws, w[:, col])
+    best = np.lexsort((-value, col))
+    best = best[np.r_[True, col[best][1:] != col[best][:-1]]]
+    return value[best], laws[best], home
+
+
+def _evaluate(q: np.ndarray, w: np.ndarray, home: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gain g and bias h of each kernel ``q[c]`` under the reward ``w[:, c]``,
+    with ``home`` as from ``_best_class`` (multichain policy evaluation):
+    g + (I - q) h = w and g = q g, with h = 0 at the first state of each
+    closed class."""
+    k, n, _ = q.shape
+    eye = np.eye(n)
+    rec = home >= 0
+    # On each closed class C, g_C sits in the slot of h at its first state.
+    a = np.where(rec[:, :, None], eye - q, eye)
+    first = rec & (home == np.arange(n))
+    a = np.where(first[:, None, :], home[:, :, None] == np.arange(n), a)
+    y = np.linalg.solve(a, np.where(rec, w.T, 0.0)[:, :, None])[:, :, 0]
+    g = np.where(rec, np.take_along_axis(y, np.maximum(home, 0), axis=1), 0.0)
+    h = np.where(first, 0.0, y)
+    # Transient states: g = q g and g + (I - q) h = w.
+    a = np.where(rec[:, :, None], eye, eye - q)
+    g = np.linalg.solve(a, g[:, :, None])[:, :, 0]
+    h = np.linalg.solve(a, np.where(rec, h, w.T - g)[:, :, None])[:, :, 0]
+    return g, h
 
 
 def cesaro(spec: ChainSpec, n: int) -> Dist:

@@ -11,6 +11,11 @@ from two certified bounds: the cost of an explicit coupling from above and
 the value of an explicit 1-Lipschitz potential from below.  Both are exact
 for a Dirac center and on the discrete metric, so no LP runs there; a row
 that neither bound decides gets one LP.
+
+``ball_sup`` is the support function of a W1 ball, ``sup <h, q>`` over
+``W1(q, p) <= r``, for many rows p and many functions h at once.  It is a
+continuous multiple-choice knapsack, which a greedy over upper concave
+hulls solves exactly (Sinha & Zoltners 1979), so no LP runs.
 """
 
 from __future__ import annotations
@@ -28,6 +33,10 @@ GAP_TOL = 1e-9
 
 # Closed-ball membership slack for float-boundary cases.
 BALL_ATOL = 1e-10
+
+# Entries of the (triple, target) arrays that ``ball_sup`` wraps hulls in
+# at once; it bounds their memory when each row has its own mask.
+HULL_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,3 +157,120 @@ def in_ball(space: MetricSpace, probs: np.ndarray, ball: BallSet) -> np.ndarray:
         later = undecided[k + 1 :]
         lower[later] = np.maximum(lower[later], diff[later] @ res.potential.f)
     return inside
+
+
+def ball_sup(
+    p_rows: np.ndarray,
+    h: np.ndarray,
+    dist: np.ndarray,
+    r: float,
+    allow: np.ndarray | None = None,
+    argmax: bool = False,
+):
+    """``sup <h[:, c], q>`` over the laws q with ``W1(q, p_rows[x]) <= r``,
+    for every row x and column c; with ``allow``, q must also vanish
+    outside ``allow[x]``, where a source may always keep its own mass.
+
+    For each source i, a unit of its mass earns the upper concave hull of
+    the points ``(d_ij, h_j)`` over the allowed targets j, from ``(0, h_i)``
+    along its rising segments.  The segments of all sources, weighted by
+    ``p[x, i]``, are bought in decreasing order of slope until the budget r
+    is spent.  Neither the hulls nor the slope order depend on the row x,
+    only on its mask, so each distinct mask row costs one set of hulls and
+    one sort per column.
+
+    ``p_rows`` is (m, n) and ``h`` is (n, k).  Returns the (m, k) values
+    and, with ``argmax``, the (m, k, n) maximizing rows: the column sums of
+    the greedy coupling.
+    """
+    p = np.asarray(p_rows, dtype=np.float64)
+    hh = np.asarray(h, dtype=np.float64)
+    (m, n), k = p.shape, hh.shape[1]
+    value = p @ hh
+    if allow is None:
+        masks, group = np.ones((1, n), dtype=bool), np.zeros(m, dtype=np.intp)
+    else:
+        masks, group = np.unique(np.asarray(allow, dtype=bool), axis=0, return_inverse=True)
+        group = group.ravel()
+    # Hulls, one per (mask, source with mass under it, column), by gift
+    # wrapping: the next vertex has the steepest rising slope, the farthest
+    # among ties, so that the slopes of a hull strictly fall.  Triples are
+    # wrapped in chunks of HULL_CHUNK entries of their (triple, target)
+    # arrays.
+    heavy = np.zeros((masks.shape[0], n), dtype=bool)
+    if r > 0.0:
+        np.logical_or.at(heavy, group, p > 0.0)
+    tg, ti, tc = np.nonzero(np.broadcast_to(heavy[:, :, None], (*heavy.shape, k)))
+    cur, curh = ti.copy(), hh[ti, tc]
+    steep = np.full(ti.size, np.inf)
+    segs = []
+    chunk = max(1, HULL_CHUNK // n)
+    for start in range(0, ti.size, chunk):
+        live = np.arange(start, min(start + chunk, ti.size))
+        for step in range(1, n):
+            dd = dist[ti[live]] - dist[ti[live], cur[live]][:, None]
+            dh = hh.T[tc[live]] - curh[live, None]
+            slope = np.full(dd.shape, -np.inf)
+            np.divide(dh, dd, out=slope, where=masks[tg[live]] & (dd > 0.0) & (dh > 0.0))
+            best = slope.max(axis=1)
+            go = best > -np.inf
+            if not go.any():
+                break
+            live, slope, dd, best = live[go], slope[go], dd[go], best[go]
+            nxt = np.where(slope == best[:, None], dd, -1.0).argmax(axis=1)
+            # Rounding may not raise a slope above the one before it.
+            steep[live] = np.minimum(best, steep[live])
+            length = dd[np.arange(live.size), nxt]
+            segs.append((live, np.full(live.size, step), steep[live], length, nxt))
+            cur[live] = nxt
+            curh[live] = hh[nxt, tc[live]]
+    if not segs:
+        return (value, np.repeat(p[:, None, :], k, axis=1)) if argmax else value
+    # Merge the segments of each (mask, column) block by decreasing slope
+    # into padded (block, rank) tables; the sort is stable, so a hull's
+    # segments keep their order.
+    trip, step, slope, length, to = (np.concatenate(a) for a in zip(*segs))
+    block = tg[trip] * k + tc[trip]
+    order = np.lexsort((ti[trip], -slope, block))
+    block = block[order]
+    sizes = np.bincount(block, minlength=masks.shape[0] * k)
+    rank = np.arange(block.size) - (np.cumsum(sizes) - sizes)[block]
+    bx = group[:, None] * k + np.arange(k)
+
+    def per_row(a):
+        t = np.zeros((sizes.size, sizes.max()), dtype=a.dtype)
+        t[block, rank] = a[order]
+        return t[bx]
+
+    src, end = per_row(ti[trip]), per_row(to)
+    # Spend each row's budget greedily along its block.
+    cost = p[np.arange(m)[:, None, None], src] * per_row(length)
+    before = np.zeros_like(cost)
+    np.cumsum(cost[:, :, :-1], axis=2, out=before[:, :, 1:])
+    spent = np.minimum(cost, np.maximum(r - before, 0.0))
+    value = value + (spent * per_row(slope)).sum(axis=2)
+    if not argmax:
+        return value
+    # A source ends on the hull vertex after its fully bought segments,
+    # verts[t, s] being the vertex of hull t after its first s segments; at
+    # most one segment per (row, column) is bought in part, and it moves
+    # that fraction of its source on to the segment's end.
+    full = (spent == cost) & (cost > 0.0)
+    cell = np.arange(m * k).reshape(m, k, 1) * n
+    done = np.bincount((cell + src)[full], minlength=m * k * n).reshape(m, k, n)
+    tid = np.full((masks.shape[0], n, k), -1)
+    tid[tg, ti, tc] = np.arange(ti.size)
+    tid = tid[group].transpose(0, 2, 1)
+    verts = np.zeros((ti.size, step.max() + 1), dtype=np.intp)
+    verts[:, 0] = ti
+    verts[trip, step] = to
+    at = np.where(tid >= 0, verts[np.maximum(tid, 0), done], np.arange(n))
+    mass = np.broadcast_to(p[:, None, :], (m, k, n)).copy()
+    px, pc, ps = np.nonzero((spent > 0.0) & ~full)
+    frac = spent[px, pc, ps] / cost[px, pc, ps]
+    i = src[px, pc, ps]
+    mass[px, pc, i] = p[px, i] * (1.0 - frac)
+    idx = np.concatenate([(cell + at).ravel(), cell[px, pc, 0] + end[px, pc, ps]])
+    wts = np.concatenate([mass.ravel(), p[px, i] * frac])
+    rows = np.bincount(idx, weights=wts, minlength=m * k * n).reshape(m, k, n)
+    return value, rows

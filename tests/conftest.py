@@ -148,3 +148,57 @@ def polytope_chains(seed=5151):
             fixed[rng.integers(n)] += 0.2
             out.append((spec, ball, Dist.from_values(fixed / fixed.sum())))
     return out
+
+
+def multichain_spec(radius=0.05):
+    """A 5-state chain on a line with two closed classes, the periodic
+    flip {a, b} and {c, d}, and a transient state e that feeds both."""
+    pts = np.array([0.0, 1.0, 3.0, 4.0, 2.0])
+    space = MetricSpace.from_matrix(list("abcde"), np.abs(pts[:, None] - pts[None, :]) / 4.0)
+    kernel = [
+        [0.0, 1.0, 0.0, 0.0, 0.0],
+        [1.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.5, 0.5, 0.0],
+        [0.0, 0.0, 0.3, 0.7, 0.0],
+        [0.3, 0.0, 0.3, 0.0, 0.4],
+    ]
+    return ChainSpec.build(space, np.full(5, 0.2), kernel, radius)
+
+
+def reducible_chains(count=24, seed=7):
+    """Sparse chains on 3 to 8 states, half of them block-triangular or
+    block-diagonal, so that kernels in the ball often have several closed
+    classes or transient states; both metrics, radius 0 to 0.7."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(3, 9))
+        rows = rng.dirichlet(np.ones(n), size=n) * (rng.random((n, n)) < rng.uniform(0.15, 0.9))
+        if rng.random() < 0.5:
+            cut = int(rng.integers(1, n))
+            rows[:cut, cut:] = 0.0
+            if rng.random() < 0.5:
+                rows[cut:, :cut] = 0.0
+        rows[np.arange(n), rng.integers(n, size=n)] += 0.1
+        r = float(rng.choice([0.0, 0.01, 0.05, 0.2, 0.7]))
+        space = random_metric(rng, n, discrete=bool(rng.integers(2)))
+        out.append(ChainSpec.build(space, np.full(n, 1.0 / n), rows / rows.sum(axis=1, keepdims=True), r))
+    return out
+
+
+def slow_reducible_spec(radius=0.0):
+    """Two lazy walks on 6 states each, slow to mix, and a state that
+    feeds both: the kernel has two closed classes at every radius under
+    the AC variants."""
+    def walk(m, stay):
+        k = np.eye(m) * stay
+        for i in range(m):
+            k[i, max(i - 1, 0)] += (1 - stay) / 2
+            k[i, min(i + 1, m - 1)] += (1 - stay) / 2
+        return k
+
+    kernel = np.zeros((13, 13))
+    kernel[:6, :6] = walk(6, 0.9)
+    kernel[6:12, 6:12] = walk(6, 0.95)
+    kernel[12, [0, 6]] = 0.5
+    return ChainSpec.build(MetricSpace.discrete(13), np.full(13, 1 / 13), kernel, radius)

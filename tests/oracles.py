@@ -13,7 +13,9 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.optimize import linprog
 
-from robust_ldp.chain_core import MASS_ZERO
+from robust_ldp.chain_core import MASS_ZERO, Violation
+from robust_ldp.divergence import resolve_model
+from robust_ldp.set_chain import InvariantPolytope
 
 
 def kl2(x, u):
@@ -381,3 +383,92 @@ def block_hits_reference(plan, length_index, block_index, count):
         state = (u[:, t][:, None] >= pcum[state]).sum(axis=1)
         counts[rows, state] += 1
     return np.unique(counts, axis=0, return_counts=True)
+
+
+def ball_sup_lp(p, h, dist, r, allow=None):
+    """``sup <h, q>`` over ``W1(q, p) <= r`` (and, with ``allow``, q zero off
+    ``allow`` except where a source keeps its own mass) as the coupling LP
+    in HiGHS: variables gamma[i, j] with row sums p and cost at most r."""
+    p = np.asarray(p, dtype=float)
+    dist = np.asarray(dist, dtype=float)
+    n = p.size
+    bounds = [(0.0, None)] * (n * n)
+    if allow is not None:
+        for i in range(n):
+            for j in range(n):
+                if i != j and not allow[j]:
+                    bounds[i * n + j] = (0.0, 0.0)
+    res = linprog(
+        -np.tile(np.asarray(h, dtype=float), n),
+        A_ub=dist.ravel()[None, :],
+        b_ub=[r],
+        A_eq=np.kron(np.eye(n), np.ones(n)),
+        b_eq=p,
+        bounds=bounds,
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return -float(res.fun)
+
+
+def _invariant_lp(spec, model, c_of_nu):
+    model = resolve_model(model, spec.radius)
+    poly = InvariantPolytope(spec, model.restrict_support, model.effective_radius)
+    lp = poly.ball_lp()
+    c = np.zeros(poly.count)
+    c[poly.nu_ids] = c_of_nu
+    res = lp.solve(c)
+    assert res.status == 0, res.message
+    return res, lp
+
+
+def envelope_lp(spec, model):
+    """The stationary envelope as 2n LPs over the invariant-ball polytope:
+    ``(lo, hi)``, each coordinate its own HiGHS solve."""
+    n = spec.space.n
+    lo, hi = np.zeros(n), np.zeros(n)
+    for x in range(n):
+        e = np.zeros(n)
+        e[x] = 1.0
+        lo[x] = _invariant_lp(spec, model, e)[0].fun
+        hi[x] = -_invariant_lp(spec, model, -e)[0].fun
+    return np.clip(lo, 0.0, 1.0), np.clip(hi, 0.0, 1.0)
+
+
+def functional_bound_lp(spec, model, weights):
+    """``max <weights, nu>`` over the invariant-ball polytope as one LP, with
+    the maximizing law."""
+    res, lp = _invariant_lp(spec, model, -np.asarray(weights, dtype=float))
+    nu, _ = lp.extract(res.x)
+    return -float(res.fun), nu
+
+
+def metric_violations_by_loops(dist):
+    """The metric checks of ``chain_core.validate_metric`` for a finite
+    square matrix, one scalar comparison at a time: nonzero diagonal, then
+    per pair i < j asymmetry and non-positivity, then every triangle
+    (i, j, k) in that nesting order."""
+    d = np.asarray(dist, dtype=float)
+    n = d.shape[0]
+    out = []
+    for i in range(n):
+        if d[i, i] != 0.0:
+            out.append(Violation(f"$.metric[{i}][{i}]", "nonzero diagonal", float(abs(d[i, i]))))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if d[i, j] != d[j, i]:
+                out.append(
+                    Violation(f"$.metric[{i}][{j}]", "asymmetric entry", float(abs(d[i, j] - d[j, i])))
+                )
+            if d[i, j] <= 0.0:
+                out.append(
+                    Violation(f"$.metric[{i}][{j}]", "non-positive off-diagonal distance", float(d[i, j]))
+                )
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                gap = d[i, k] - (d[i, j] + d[j, k])
+                if gap > 1e-12 * max(1.0, d[i, k]):
+                    msg = f"triangle inequality fails via {j}: d[{i}][{k}] > d[{i}][{j}] + d[{j}][{k}]"
+                    out.append(Violation(f"$.metric[{i}][{k}]", msg, float(gap)))
+    return out

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,9 @@ from robust_ldp import (
     k_step_kernel,
     validate_chain,
 )
+from robust_ldp.chain_core import validate_metric
+
+from oracles import metric_violations_by_loops
 
 
 def test_example_chain_is_valid(example_spec):
@@ -141,3 +146,41 @@ def test_discrete_space_detection(example_space):
     assert example_space.is_discrete
     other = MetricSpace.from_matrix(["a", "b"], [[0.0, 2.0], [2.0, 0.0]])
     assert not other.is_discrete
+
+
+def test_metric_violations_match_the_scalar_loops():
+    """The vectorised metric check reports what the one-comparison-at-a-time
+    loops report, in the same order, on a corpus of broken metrics."""
+    rng = np.random.default_rng(130)
+    corpus = [np.array([[0.0, 5.0, 1.0], [5.0, 0.0, 1.0], [1.0, 1.0, 0.0]])]
+    for n in (2, 3, 4, 6, 9):
+        for _ in range(6):
+            d = rng.uniform(0.1, 2.0, size=(n, n))
+            d = 0.5 * (d + d.T)
+            np.fill_diagonal(d, 0.0)
+            mode = rng.integers(4 if n > 2 else 3)
+            i, j = rng.choice(n, 2, replace=False)
+            if mode == 0:
+                d[i, j] += 0.5
+            elif mode == 1:
+                d[i, j] = d[j, i] = -rng.uniform(0.0, 1.0) * (rng.random() < 0.5)
+            elif mode == 2:
+                d[i, i] = 0.3
+            else:
+                d[i, j] = d[j, i] = 10.0
+            corpus.append(d)
+    for d in corpus:
+        space = MetricSpace(tuple(str(k) for k in range(d.shape[0])), d)
+        got = validate_metric(space)
+        assert got == metric_violations_by_loops(d)
+    assert sum(bool(metric_violations_by_loops(d)) for d in corpus) == len(corpus)
+
+
+def test_large_chain_builds_quickly():
+    """Building a 130-state discrete chain, metric checks included, takes
+    under 0.2 s."""
+    n = 130
+    rows = np.random.default_rng(131).dirichlet(np.ones(n), size=n)
+    start = time.perf_counter()
+    ChainSpec.build(MetricSpace.discrete(n), np.full(n, 1.0 / n), rows, 0.05)
+    assert time.perf_counter() - start < 0.2

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -17,19 +18,28 @@ from robust_ldp import (
     w1,
 )
 from robust_ldp.divergence import DivergenceModel, Variant
-from robust_ldp import set_chain
+from robust_ldp import set_chain, transport
 from robust_ldp.set_chain import LP_OPTIONS, InvariantPolytope
 
 from conftest import (
+    EXAMPLE_KERNEL,
     EXAMPLE_STATIONARY,
     certificate_corpus,
+    multichain_spec,
     polytope_chains,
     random_kernel,
     random_metric,
+    reducible_chains,
+    slow_reducible_spec,
     three_state_corpus,
 )
 
-from oracles import dense_polytope_rows, fixed_nu_feasible_discrete
+from oracles import (
+    dense_polytope_rows,
+    envelope_lp,
+    fixed_nu_feasible_discrete,
+    functional_bound_lp,
+)
 
 
 def test_stationary_example(example_spec):
@@ -224,8 +234,9 @@ def _dense_lp(poly, c):
 
 
 def test_lp_answers_match_dense_oracle_bitwise():
-    """``envelope`` and ``robust_functional_bound`` give, bit for bit, what
-    HiGHS gives on the dense oracle rows with the same options."""
+    """``InvariantPolytope.ball_lp().solve`` gives, bit for bit, what HiGHS
+    gives on the dense oracle rows with the same options, for the
+    envelope's objectives and a random functional."""
     rng = np.random.default_rng(77)
     for spec, _, _ in polytope_chains():
         n = spec.space.n
@@ -233,21 +244,89 @@ def test_lp_answers_match_dense_oracle_bitwise():
             for s in (spec.with_radius(0.0), spec) if n <= 5 else (spec,):
                 resolved = DivergenceModel(model, s.radius)
                 poly = InvariantPolytope(s, resolved.restrict_support, resolved.effective_radius)
-                env = envelope(s, model)
+                lp = poly.ball_lp()
+                objectives = []
                 for x in range(n):
-                    for sign, got in ((1.0, env.lo[x]), (-1.0, env.hi[x])):
+                    for sign in (1.0, -1.0):
                         c = np.zeros(poly.count)
                         c[poly.nu_ids[x]] = sign
-                        want = np.clip(sign * _dense_lp(poly, c).fun, 0.0, 1.0)
-                        assert got.tobytes() == want.tobytes()
-                w = rng.uniform(-1, 1, n)
-                value, argmax = robust_functional_bound(s, model, w)
+                        objectives.append(c)
                 c = np.zeros(poly.count)
-                c[poly.nu_ids] = -w
-                res = _dense_lp(poly, c)
-                nu = np.clip(res.x, 0.0, None)[poly.nu_ids]
-                assert value == -float(res.fun)
-                assert np.array_equal(argmax.p, nu / nu.sum())
+                c[poly.nu_ids] = -rng.uniform(-1, 1, n)
+                objectives.append(c)
+                for c in objectives:
+                    got, want = lp.solve(c), _dense_lp(poly, c)
+                    assert got.status == 0
+                    assert np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes()
+                    assert got.x.tobytes() == want.x.tobytes()
+
+
+def _lln_cases():
+    for spec, _, _ in polytope_chains():
+        yield spec
+        if spec.space.n <= 5:
+            yield spec.with_radius(0.0)
+    for r in (0.0, 0.05, 0.3, 1.0):
+        yield multichain_spec(r)
+        yield ChainSpec.build(
+            MetricSpace.discrete(["1", "2", "3"]), [0.0, 0.0, 1.0], EXAMPLE_KERNEL, r
+        )
+
+
+def test_lln_values_match_lp_oracle(monkeypatch):
+    """``envelope`` and ``robust_functional_bound`` equal the LP oracle within
+    1e-12, plain and AC, on every polytope chain, the multichain chain and
+    the worked example, without running an LP; no envelope entry is -0.0,
+    and each argmax attains its bound."""
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP ran")
+
+    rng = np.random.default_rng(78)
+    cases = list(_lln_cases())
+    want = {}
+    for k, s in enumerate(cases):
+        w = rng.uniform(-1, 1, s.space.n)
+        for model in (Variant.BALL_INDICATOR, Variant.BALL_INDICATOR_AC):
+            want[k, model] = w, envelope_lp(s, model), functional_bound_lp(s, model, w)[0]
+    monkeypatch.setattr(set_chain, "linprog", no_lp)
+    monkeypatch.setattr(transport, "linprog", no_lp)
+    for (k, model), (w, (lo, hi), bound) in want.items():
+        s = cases[k]
+        env = envelope(s, model)
+        assert np.max(np.abs(env.lo - lo)) <= 1e-12
+        assert np.max(np.abs(env.hi - hi)) <= 1e-12
+        assert not np.signbit(env.lo).any() and not np.signbit(env.hi).any()
+        value, argmax = robust_functional_bound(s, model, w)
+        assert abs(value - bound) <= 1e-12
+        assert abs(w @ argmax.p - value) <= 1e-12
+
+
+def test_reducible_chains_match_lp_oracle():
+    """Chains whose kernels in the ball have several closed classes or
+    transient states, and two slow lazy walks fed by one state: the
+    bracket closes within the sweep cap and the values equal the LP
+    oracle within 1e-12."""
+    rng = np.random.default_rng(79)
+    cases = reducible_chains() + [slow_reducible_spec(r) for r in (0.0, 0.02)]
+    for s in cases:
+        for model in (Variant.BALL_INDICATOR, Variant.BALL_INDICATOR_AC):
+            env = envelope(s, model)
+            lo, hi = envelope_lp(s, model)
+            assert np.max(np.abs(env.lo - lo)) <= 1e-12
+            assert np.max(np.abs(env.hi - hi)) <= 1e-12
+            w = rng.uniform(-1, 1, s.space.n)
+            value, argmax = robust_functional_bound(s, model, w)
+            assert abs(value - functional_bound_lp(s, model, w)[0]) <= 1e-12
+            assert abs(w @ argmax.p - value) <= 1e-12
+
+
+def test_open_bracket_is_an_error(monkeypatch):
+    """With one sweep allowed, the multichain AC envelope cannot close its
+    bracket and says so instead of returning a value."""
+    monkeypatch.setattr(set_chain, "MAX_SWEEPS", 1)
+    with pytest.raises(RuntimeError, match="bracket is still .* wide"):
+        envelope(multichain_spec(0.05), Variant.BALL_INDICATOR_AC)
 
 
 def test_lp_rows_stay_small_at_n20():
@@ -266,12 +345,25 @@ def test_lp_rows_stay_small_at_n20():
     assert peak < 10e6
 
 
+def test_envelope_at_n30_runs_in_seconds():
+    """The Euclidean n = 30 envelope takes under 3 s for both variants and
+    contains the nominal stationary law."""
+    rng = np.random.default_rng(7030)
+    space = random_metric(rng, 30)
+    spec = ChainSpec.build(space, np.full(30, 1 / 30), random_kernel(rng, 30), 0.05)
+    mu, _ = stationary(spec.kernel)
+    start = time.perf_counter()
+    for model in (Variant.BALL_INDICATOR, Variant.BALL_INDICATOR_AC):
+        assert envelope(spec, model).contains(mu)
+    assert time.perf_counter() - start < 3.0
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_functional_bound_rejects_non_finite_weights(example_spec, monkeypatch, bad):
-    def no_lp(*args, **kwargs):
-        raise AssertionError("an LP was built for non-finite weights")
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solver ran for non-finite weights")
 
-    monkeypatch.setattr(set_chain, "InvariantPolytope", no_lp)
+    monkeypatch.setattr(transport, "ball_sup", no_solve)
     with pytest.raises(ValueError, match="weights"):
         robust_functional_bound(example_spec, Variant.BALL_INDICATOR, [bad, 0.0, 0.0])
 

@@ -7,7 +7,7 @@ from robust_ldp.transport import BALL_ATOL, dual_value, in_ball
 
 from conftest import random_metric, random_simplex
 
-from oracles import w1_two_point_enumeration
+from oracles import ball_sup_lp, w1_two_point_enumeration
 
 
 def test_identity_coupling(example_space):
@@ -171,3 +171,81 @@ def test_in_ball_runs_no_lp_where_the_bounds_are_exact(monkeypatch):
                 got = in_ball(space, probs, BallSet(center, kappa))
                 assert np.array_equal(got, exact <= kappa + BALL_ATOL)
     assert calls == []
+
+
+def _check_ball_sup(space, p, h, r, allow=None):
+    """``ball_sup`` on the rows ``p`` against the coupling LP, row by row:
+    equal values, and maximizing rows inside the ball (and the mask) that
+    attain them."""
+    value, rows = transport.ball_sup(p, h, space.dist, r, allow, argmax=True)
+    assert value.shape == (p.shape[0], h.shape[1])
+    assert rows.shape == (p.shape[0], h.shape[1], space.n)
+    for x in range(p.shape[0]):
+        mask = None if allow is None else allow[x]
+        members = in_ball(space, rows[x], BallSet(Dist(p[x]), r))
+        assert members.all()
+        for c in range(h.shape[1]):
+            want = ball_sup_lp(p[x], h[:, c], space.dist, r, mask)
+            assert abs(value[x, c] - want) <= 1e-12
+            assert abs(rows[x, c] @ h[:, c] - value[x, c]) <= 1e-12
+            assert np.all(rows[x, c] >= 0.0)
+            assert abs(rows[x, c].sum() - 1.0) <= 1e-12
+            if mask is not None:
+                assert np.all(rows[x, c][~mask & (p[x] == 0.0)] == 0.0)
+
+
+def test_ball_sup_matches_coupling_lp():
+    """Random rows on n = 2..12, both metrics, with and without a target
+    mask (the support of each row, as the AC variants use it)."""
+    rng = np.random.default_rng(4711)
+    for trial in range(40):
+        n = 2 + trial % 11
+        space = random_metric(rng, n, discrete=bool(trial % 2))
+        p = rng.dirichlet(np.ones(n), size=n) * (rng.random((n, n)) < 0.7)
+        p[np.arange(n), rng.integers(n, size=n)] += 0.1
+        p /= p.sum(axis=1, keepdims=True)
+        h = rng.normal(size=(n, 3))
+        r = float(rng.uniform(0.0, 0.6)) * space.diameter
+        _check_ball_sup(space, p, h, r, p > 0.0 if trial % 3 else None)
+
+
+def test_ball_sup_edge_cases():
+    """Ties in h, r = 0, r at and beyond the diameter, and sources without
+    mass."""
+    rng = np.random.default_rng(4712)
+    for n in (2, 5, 9):
+        for discrete in (True, False):
+            space = random_metric(rng, n, discrete=discrete)
+            p = rng.dirichlet(np.ones(n), size=4)
+            p[:, rng.choice(n, n // 2, replace=False)] = 0.0
+            p[:, 0] += 0.05
+            p /= p.sum(axis=1, keepdims=True)
+            ties = rng.integers(0, 3, size=(n, 2)).astype(float)
+            ties[:, 1] = 1.0
+            for h in (ties, rng.normal(size=(n, 2))):
+                for r in (0.0, 0.1, space.diameter, 3.0 * space.diameter):
+                    _check_ball_sup(space, p, h, r)
+                    _check_ball_sup(space, p, h, r, p > 0.0)
+            value, rows = transport.ball_sup(p, ties, space.dist, 0.0, argmax=True)
+            assert np.array_equal(value, p @ ties)
+            assert np.array_equal(rows, np.repeat(p[:, None, :], 2, axis=1))
+            top, full = transport.ball_sup(p, ties[:, :1], space.dist, space.diameter, argmax=True)
+            assert np.allclose(top, ties[:, 0].max(), rtol=0.0, atol=1e-12)
+            assert np.all(full[:, 0, ties[:, 0] < ties[:, 0].max()] == 0.0)
+
+
+def test_ball_sup_does_not_depend_on_hull_chunks(monkeypatch):
+    """Wrapping the hulls one triple at a time gives the same values and
+    rows, bit for bit, as wrapping them all at once."""
+    rng = np.random.default_rng(4713)
+    n = 9
+    space = random_metric(rng, n)
+    p = rng.dirichlet(np.ones(n), size=n) * (rng.random((n, n)) < 0.6)
+    p[np.arange(n), rng.integers(n, size=n)] += 0.1
+    p /= p.sum(axis=1, keepdims=True)
+    h = rng.normal(size=(n, 4))
+    want = transport.ball_sup(p, h, space.dist, 0.3, p > 0.0, argmax=True)
+    monkeypatch.setattr(transport, "HULL_CHUNK", 1)
+    got = transport.ball_sup(p, h, space.dist, 0.3, p > 0.0, argmax=True)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
