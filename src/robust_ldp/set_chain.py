@@ -43,8 +43,9 @@ BRACKET_TOL = 1e-10
 # before an open bracket is an error.
 MAX_SWEEPS = 200
 
-# Weight of the gain against the bias in the next greedy step, so that
-# moving mass to a class of higher gain wins over any bias difference.
+# Starting weight of the gain against the bias in the next greedy step,
+# so that moving mass to a class of higher gain wins over the bias
+# difference; it grows tenfold for a column whenever a step lowers a gain.
 GAIN_WEIGHT = 1e3
 
 # HiGHS primal feasibility tolerance for the invariant-kernel LPs.  At the
@@ -461,9 +462,11 @@ def _robust_gain(
     best closed class of the greedy kernel, whose invariant law is
     admissible.  The greedy kernel keeps the previous row wherever that row
     is as good, and its multichain evaluation (gain g, bias h) gives the
-    next ``v = h + GAIN_WEIGHT (g - max g)``: Howard's policy iteration,
-    where a single closed class makes g constant and v the bias.  A value
-    is returned only from a bracket of width BRACKET_TOL.
+    next ``v = h + M (g - max g)``: Howard's policy iteration, where a
+    single closed class makes g constant and v the bias.  Howard's step
+    never lowers a gain; a step that does has weighed the bias too much,
+    so its column's weight M, GAIN_WEIGHT at first, grows tenfold.  A
+    value is returned only from a bracket of width BRACKET_TOL.
     """
     model = resolve_model(model, spec.radius)
     _check_indicator(model)
@@ -473,12 +476,13 @@ def _robust_gain(
     n, k = w.shape
     tol = BRACKET_TOL * np.maximum(1.0, np.abs(w).max(axis=0))
     v, gain = np.zeros((n, k)), np.zeros((n, k))
+    weight = np.full(k, GAIN_WEIGHT)
     policy = np.zeros((k, n, n))
     lower, upper = np.full(k, -np.inf), np.full(k, np.inf)
     laws = np.zeros((k, n))
     cols = np.arange(k)
     for sweep in range(MAX_SWEEPS):
-        tv, q = transport.ball_sup(pk, v[:, cols], d, r, allow, argmax=True)
+        tv, q = transport.ball_sup(pk, v[:, cols], d, r, allow)
         tv += w[:, cols]
         upper[cols] = np.minimum(upper[cols], (tv - v[:, cols]).max(axis=0))
         q = q.transpose(1, 0, 2)
@@ -496,8 +500,11 @@ def _robust_gain(
             return lower, laws
         g, h = _evaluate(q[open_], w[:, cols[open_]], home[open_])
         cols = cols[open_]
+        if sweep:
+            drop = (g < gain[:, cols].T - tol[cols, None]).any(axis=1)
+            weight[cols[drop]] *= 10.0
         gain[:, cols] = g.T
-        v[:, cols] = (h + GAIN_WEIGHT * (g - g.max(axis=1, keepdims=True))).T
+        v[:, cols] = (h + weight[cols, None] * (g - g.max(axis=1, keepdims=True))).T
     width = float(np.max(upper - lower))
     raise RuntimeError(
         f"law-of-large-numbers bracket is still {width:.3g} wide after {MAX_SWEEPS} sweeps"

@@ -165,8 +165,7 @@ def ball_sup(
     dist: np.ndarray,
     r: float,
     allow: np.ndarray | None = None,
-    argmax: bool = False,
-):
+) -> tuple[np.ndarray, np.ndarray]:
     """``sup <h[:, c], q>`` over the laws q with ``W1(q, p_rows[x]) <= r``,
     for every row x and column c; with ``allow``, q must also vanish
     outside ``allow[x]``, where a source may always keep its own mass.
@@ -180,8 +179,8 @@ def ball_sup(
     one sort per column.
 
     ``p_rows`` is (m, n) and ``h`` is (n, k).  Returns the (m, k) values
-    and, with ``argmax``, the (m, k, n) maximizing rows: the column sums of
-    the greedy coupling.
+    and the (m, k, n) maximizing rows: the column sums of the greedy
+    coupling.
     """
     p = np.asarray(p_rows, dtype=np.float64)
     hh = np.asarray(h, dtype=np.float64)
@@ -225,7 +224,7 @@ def ball_sup(
             cur[live] = nxt
             curh[live] = hh[nxt, tc[live]]
     if not segs:
-        return (value, np.repeat(p[:, None, :], k, axis=1)) if argmax else value
+        return value, np.repeat(p[:, None, :], k, axis=1)
     # Merge the segments of each (mask, column) block by decreasing slope
     # into padded (block, rank) tables; the sort is stable, so a hull's
     # segments keep their order.
@@ -249,8 +248,6 @@ def ball_sup(
     np.cumsum(cost[:, :, :-1], axis=2, out=before[:, :, 1:])
     spent = np.minimum(cost, np.maximum(r - before, 0.0))
     value = value + (spent * per_row(slope)).sum(axis=2)
-    if not argmax:
-        return value
     # A source ends on the hull vertex after its fully bought segments,
     # verts[t, s] being the vertex of hull t after its first s segments; at
     # most one segment per (row, column) is bought in part, and it moves

@@ -186,10 +186,10 @@ def reducible_chains(count=24, seed=7):
     return out
 
 
-def slow_reducible_spec(radius=0.0):
-    """Two lazy walks on 6 states each, slow to mix, and a state that
-    feeds both: the kernel has two closed classes at every radius under
-    the AC variants."""
+def slow_reducible_spec(radius=0.0, stay=(0.9, 0.95)):
+    """Two lazy walks on 6 states each, slow to mix (each state stays put
+    with probability ``stay``), and a state that feeds both: the kernel
+    has two closed classes at every radius under the AC variants."""
     def walk(m, stay):
         k = np.eye(m) * stay
         for i in range(m):
@@ -198,7 +198,7 @@ def slow_reducible_spec(radius=0.0):
         return k
 
     kernel = np.zeros((13, 13))
-    kernel[:6, :6] = walk(6, 0.9)
-    kernel[6:12, 6:12] = walk(6, 0.95)
+    kernel[:6, :6] = walk(6, stay[0])
+    kernel[6:12, 6:12] = walk(6, stay[1])
     kernel[12, [0, 6]] = 0.5
     return ChainSpec.build(MetricSpace.discrete(13), np.full(13, 1 / 13), kernel, radius)

@@ -321,6 +321,23 @@ def test_reducible_chains_match_lp_oracle():
             assert abs(w @ argmax.p - value) <= 1e-12
 
 
+def test_gain_weight_grows_until_steps_keep_gains(monkeypatch):
+    """From a gain weight of 1e-6, the greedy step on these AC chains
+    favours the bias, lowers a gain and cycles; the weight grows until
+    the bracket closes on the LP oracle's values.  The slower walks (stay
+    0.999) agree with the oracle to within the bracket width."""
+    monkeypatch.setattr(set_chain, "GAIN_WEIGHT", 1e-6)
+    chains = reducible_chains()
+    cases = [(chains[i], 1e-12) for i in (7, 8, 10)]
+    cases += [(slow_reducible_spec(r, (0.999, 0.9995)), 2e-10) for r in (0.0, 0.02)]
+    for s, atol in cases:
+        for model in (Variant.BALL_INDICATOR, Variant.BALL_INDICATOR_AC):
+            env = envelope(s, model)
+            lo, hi = envelope_lp(s, model)
+            assert np.max(np.abs(env.lo - lo)) <= atol
+            assert np.max(np.abs(env.hi - hi)) <= atol
+
+
 def test_open_bracket_is_an_error(monkeypatch):
     """With one sweep allowed, the multichain AC envelope cannot close its
     bracket and says so instead of returning a value."""

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -177,7 +179,7 @@ def _check_ball_sup(space, p, h, r, allow=None):
     """``ball_sup`` on the rows ``p`` against the coupling LP, row by row:
     equal values, and maximizing rows inside the ball (and the mask) that
     attain them."""
-    value, rows = transport.ball_sup(p, h, space.dist, r, allow, argmax=True)
+    value, rows = transport.ball_sup(p, h, space.dist, r, allow)
     assert value.shape == (p.shape[0], h.shape[1])
     assert rows.shape == (p.shape[0], h.shape[1], space.n)
     for x in range(p.shape[0]):
@@ -226,12 +228,33 @@ def test_ball_sup_edge_cases():
                 for r in (0.0, 0.1, space.diameter, 3.0 * space.diameter):
                     _check_ball_sup(space, p, h, r)
                     _check_ball_sup(space, p, h, r, p > 0.0)
-            value, rows = transport.ball_sup(p, ties, space.dist, 0.0, argmax=True)
+            value, rows = transport.ball_sup(p, ties, space.dist, 0.0)
             assert np.array_equal(value, p @ ties)
             assert np.array_equal(rows, np.repeat(p[:, None, :], 2, axis=1))
-            top, full = transport.ball_sup(p, ties[:, :1], space.dist, space.diameter, argmax=True)
+            top, full = transport.ball_sup(p, ties[:, :1], space.dist, space.diameter)
             assert np.allclose(top, ties[:, 0].max(), rtol=0.0, atol=1e-12)
             assert np.all(full[:, 0, ties[:, 0] < ties[:, 0].max()] == 0.0)
+
+
+def test_ball_sup_memory_stays_bounded_at_n40():
+    """A half-sparse Euclidean n = 40 call over 80 columns, each row's
+    support its own mask, wraps its hulls in chunks: its peak allocation
+    stays under 60 MB, where wrapping them in one piece takes about
+    100 MB."""
+    rng = np.random.default_rng(4040)
+    n = 40
+    space = random_metric(rng, n)
+    p = rng.dirichlet(np.ones(n), size=n) * (rng.random((n, n)) < 0.5)
+    p[np.arange(n), np.arange(n)] += 0.05
+    p /= p.sum(axis=1, keepdims=True)
+    h = rng.normal(size=(n, 2 * n))
+    tracemalloc.start()
+    try:
+        transport.ball_sup(p, h, space.dist, 0.05, p > 0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6
 
 
 def test_ball_sup_does_not_depend_on_hull_chunks(monkeypatch):
@@ -244,8 +267,8 @@ def test_ball_sup_does_not_depend_on_hull_chunks(monkeypatch):
     p[np.arange(n), rng.integers(n, size=n)] += 0.1
     p /= p.sum(axis=1, keepdims=True)
     h = rng.normal(size=(n, 4))
-    want = transport.ball_sup(p, h, space.dist, 0.3, p > 0.0, argmax=True)
+    want = transport.ball_sup(p, h, space.dist, 0.3, p > 0.0)
     monkeypatch.setattr(transport, "HULL_CHUNK", 1)
-    got = transport.ball_sup(p, h, space.dist, 0.3, p > 0.0, argmax=True)
+    got = transport.ball_sup(p, h, space.dist, 0.3, p > 0.0)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
