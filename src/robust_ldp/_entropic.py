@@ -1,4 +1,4 @@
-"""Damped-Newton barrier solver for entropic programs with sparse structure.
+"""Primal-dual barrier solver for entropic programs with sparse structure.
 
 Solves
 
@@ -13,31 +13,38 @@ transport couplings), which is the shape of all robust-divergence and
 rate programs in this package.
 
 The Newton step uses the structure of these programs.  The Hessian of a
-term ``u ln(u/v)`` has rank one, so the barrier Hessian at parameter t is
+term ``u ln(u/v)`` has rank one, so the Newton matrix at parameter t is
 
-    H = diag(1/z^2) + S diag(t w) S^T
+    H = diag(t s / z) + S diag(t w) S^T
 
 with one sparse column s_k per term: ``s_k = e_u - (u/v) c`` and
 ``w = 1/u`` for a variable numerator, ``s_k = c`` and ``w = p/v^2`` for a
-constant one, where c holds the denominator's coefficients.  H^-1 is
-applied by the Woodbury identity through a K x K capacitance matrix (K
-terms, so terms sharing a denominator variable are covered), and only the
-m x m Schur complement A H^-1 A^T of the m equality rows is formed and
-factored.  The terms are stored as flat index arrays and every product is
-one vectorised sum over entry pairs fixed per working problem; nothing of
-size n_vars x n_vars is built unless a factorisation fails and the
-least-squares fallback solves the full KKT system.
+constant one, where c holds the denominator's coefficients.  The bound
+multipliers s are carried along the path (primal-dual scaling; Wright
+1997, ch. 11), so a coordinate that the next stage drives to zero shrinks
+in one or two steps instead of ten.  H^-1 is applied by the Woodbury
+identity through a K x K capacitance matrix (K terms, so terms sharing a
+denominator variable are covered), and only the m x m Schur complement
+A H^-1 A^T of the m equality rows is formed and factored.  Where Cholesky
+fails on either small matrix, the eigendecomposition of its symmetric part
+solves in the least-squares sense instead.  The terms are stored as flat
+index arrays and every product is one vectorised sum over entry pairs
+fixed per working problem; nothing of size n_vars x n_vars is ever built.
 
 The solve proceeds in three stages:
 
 1. coordinates that vanish on the whole feasible set are eliminated
-   (detected by LP probes) and a strictly feasible start is found;
-2. the central path is followed cautiously until the duality gap reaches
-   the level where boundary-bound coordinates separate cleanly;
+   (detected by LP probes) and a strictly feasible start is found, unless
+   the caller passes one;
+2. the central path is followed, loosely centred while the duality gap is
+   above the level where boundary-bound coordinates separate cleanly and
+   tightly from there on;
 3. those coordinates are frozen at zero and the path continues on the
    interior face, where the barrier Hessian stays bounded and the target
-   gap is reachable at full accuracy.  A pre-freeze snapshot guards
-   against misidentified faces.
+   gap is reachable at full accuracy.  When the face continuation fails,
+   the path continues instead from a pre-freeze snapshot on the unfrozen
+   problem, and the snapshot itself is the answer only when that fails
+   too.
 
 Infeasibility and forced +infinity values are returned as exact results,
 never as large floats.
@@ -61,6 +68,13 @@ FORCED_ZERO_TOL = 1e-10
 SAFE_GAP = 3e-7  # gap at which boundary coordinates separate cleanly
 FACE_TOL = 1e-6  # coordinates below this after the cautious stage are frozen
 MAX_NEWTON = 80
+# Newton decrement at which a stage counts as centred: loosely while the
+# gap is above SAFE_GAP, tightly from the stage that decides the face on.
+LOOSE_INNER_TOL = 1e-2
+INNER_TOL = 1e-10
+# Eigenvalues below this share of the largest are dropped when a small
+# matrix of the Newton step is solved by eigendecomposition.
+EIG_DROP = 1e-14
 
 
 @dataclass(frozen=True)
@@ -264,65 +278,57 @@ class _Newton:
     def hess_mul(self, x: np.ndarray) -> np.ndarray:
         return x / self.dinv + self._s(self.tw * self._st(x))
 
-    def _dense_hessian(self) -> np.ndarray:
-        s = np.zeros((self.n, self.k))
-        np.add.at(s, (self.s_row, self.s_col), self.s_val)
-        h = (s * self.tw) @ s.T
-        h[np.diag_indices(self.n)] += 1.0 / self.dinv
-        return h
-
     def step(self, g: np.ndarray, rp: np.ndarray) -> np.ndarray:
         """Newton step at the current point for min phi s.t. A dz = rp (the
         current equality residual, so that steps actively repair numerical
-        drift), where g is the gradient of phi.
-
-        The Schur-complement path with two rounds of iterative refinement is
-        fastest; near the boundary the barrier curvature can defeat
-        Cholesky, in which case the full KKT system is solved by least
-        squares instead.
-        """
+        drift), where g is the gradient of phi, with two rounds of
+        iterative refinement."""
         m, k, d = self.m, self.k, self.dinv
-        try:
-            key, p, q, j = self.ss
-            cap = np.bincount(key, weights=self.s_val[p] * self.s_val[q] * d[j], minlength=k * k)
-            cap = cap.reshape(k, k) + np.diag(1.0 / self.tw)
-            cinv = cho_solve(cho_factor(cap), np.eye(k))
+        key, p, q, j = self.ss
+        cap = np.bincount(key, weights=self.s_val[p] * self.s_val[q] * d[j], minlength=k * k)
+        cinv = _inverse(cap.reshape(k, k) + np.diag(1.0 / self.tw))(np.eye(k))
 
-            def hinv(x):
-                y = d * x
-                return y - d * self._s(cinv @ self._st(y))
+        def hinv(x):
+            y = d * x
+            return y - d * self._s(cinv @ self._st(y))
 
-            if m == 0:
-                return hinv(-g)
-            key, a_p, q, j = self.as_
-            u = np.bincount(key, weights=a_p * self.s_val[q] * d[j], minlength=m * k).reshape(m, k)
-            key, aa, j = self.aa
-            schur = np.bincount(key, weights=aa * d[j], minlength=m * m).reshape(m, m)
-            sf = cho_factor(schur - u @ cinv @ u.T)
+        if m == 0:
+            return hinv(-g)
+        key, a_p, q, j = self.as_
+        u = np.bincount(key, weights=a_p * self.s_val[q] * d[j], minlength=m * k).reshape(m, k)
+        key, aa, j = self.aa
+        schur = np.bincount(key, weights=aa * d[j], minlength=m * m).reshape(m, m)
+        schur_solve = _inverse(schur - u @ cinv @ u.T)
 
-            def solve_once(r1, r2):
-                lam = cho_solve(sf, self.amul(hinv(r1)) - r2)
-                return hinv(r1 - self.atmul(lam)), lam
+        def solve_once(r1, r2):
+            lam = schur_solve(self.amul(hinv(r1)) - r2)
+            return hinv(r1 - self.atmul(lam)), lam
 
-            dz, lam = solve_once(-g, rp)
-            for _ in range(2):
-                r1 = -g - (self.hess_mul(dz) + self.atmul(lam))
-                r2 = rp - self.amul(dz)
-                ddz, dlam = solve_once(r1, r2)
-                if not (np.all(np.isfinite(ddz)) and np.all(np.isfinite(dlam))):
-                    break
-                dz = dz + ddz
-                lam = lam + dlam
-            return dz
-        except LinAlgError:
-            pass
-        n = self.n
-        kkt = np.zeros((n + m, n + m))
-        kkt[:n, :n] = self._dense_hessian()
-        kkt[n:, :n] = self.a
-        kkt[:n, n:] = self.a.T
-        rhs = np.concatenate([-g, rp])
-        return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:n]
+        dz, lam = solve_once(-g, rp)
+        for _ in range(2):
+            r1 = -g - (self.hess_mul(dz) + self.atmul(lam))
+            r2 = rp - self.amul(dz)
+            ddz, dlam = solve_once(r1, r2)
+            if not (np.all(np.isfinite(ddz)) and np.all(np.isfinite(dlam))):
+                break
+            dz = dz + ddz
+            lam = lam + dlam
+        return dz
+
+
+def _inverse(mat: np.ndarray):
+    """``x -> mat^-1 x`` for a symmetric matrix that should be positive
+    definite: by Cholesky, or, where that fails near the boundary, by the
+    eigendecomposition of the symmetric part with the eigenvalues below
+    EIG_DROP times the largest dropped (a least-squares solve)."""
+    try:
+        factor = cho_factor(mat)
+        return lambda x: cho_solve(factor, x)
+    except LinAlgError:
+        w, v = np.linalg.eigh(0.5 * (mat + mat.T))
+        on = w > EIG_DROP * max(w[-1], 0.0)
+        pinv = (v[:, on] / w[on]) @ v[:, on].T
+        return lambda x: pinv @ x
 
 
 def _phase_one(a: np.ndarray, b: np.ndarray):
@@ -374,19 +380,24 @@ def _independent_rows(a: np.ndarray) -> np.ndarray:
     return np.sort(piv[:rank])
 
 
-def _center(newton: _Newton, b, z, t, inner_tol=1e-10):
-    """Damped Newton iteration toward the analytic center at parameter t."""
+def _center(newton: _Newton, b, z, t, inner_tol, s):
+    """Damped primal-dual Newton iteration toward the analytic center at
+    parameter t, from the point z with bound multipliers s (1 / (t z) on
+    the central path).  Returns the point, the Newton steps taken and the
+    multipliers ``mu / z`` at the point, mu = 1/t."""
     objective = newton.terms.objective
+    mu = 1.0 / t
     iters = 0
     for _ in range(MAX_NEWTON):
         g = newton.linearize(z, t)
+        newton.dinv = z / (t * s)
         rp = b - newton.amul(z)
         dz = newton.step(g, rp)
         lam2 = float(-g @ dz)
         iters += 1
         prim = float(np.max(np.abs(rp))) if rp.size else 0.0
         if not math.isfinite(lam2) or (lam2 / 2.0 <= inner_tol and prim <= 1e-12):
-            return z, iters
+            break
         neg = dz < 0.0
         alpha = 1.0
         if np.any(neg):
@@ -407,9 +418,14 @@ def _center(newton: _Newton, b, z, t, inner_tol=1e-10):
                 break
             alpha *= 0.5
         if not accepted:
-            return z, iters  # no further progress representable
-        z = z + alpha * dz
-    return z, iters
+            break  # no further progress representable
+        ds = mu / z - s - (s / z) * dz
+        neg = ds < 0.0
+        if np.any(neg):
+            alpha = min(alpha, 0.995 * np.min(-s[neg] / ds[neg]))
+        z = z_new
+        s = np.clip(s + alpha * ds, mu / (1e10 * z), 1e10 * mu / z)
+    return z, iters, mu / z
 
 
 def _freeze_mask(terms: _Terms, keep: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -496,22 +512,21 @@ def solve(
     z = np.asarray(z_start, dtype=np.float64)
 
     t_bar = 1.0
+    s = 1.0 / (t_bar * z)
     total_iters = 0
-    snapshot = None  # pre-freeze fallback: (z in live0 space, t, value)
-
-    def embed(zv: np.ndarray) -> np.ndarray:
-        out = np.zeros(nb0)
-        out[live] = zv
-        return out
+    # Pre-freeze fallback: the point, multipliers and t of the stage that
+    # decides the face, with the unfrozen problem it solves.
+    snapshot = None
 
     while z.size:
-        z, it = _center(newton, b_w, z, t_bar)
-        total_iters += it
         gap = z.size / t_bar
+        inner_tol = LOOSE_INNER_TOL if gap > SAFE_GAP else INNER_TOL
+        z, it, s = _center(newton, b_w, z, t_bar, inner_tol, s)
+        total_iters += it
         if gap <= gap_tol or t_bar >= 1e16:
             break
         if snapshot is None and gap <= SAFE_GAP:
-            snapshot = (embed(z), t_bar, terms_w.objective(z))
+            snapshot = (z, s, t_bar, newton, b_w)
         if snapshot is not None:
             tentative = z >= FACE_TOL
             if not tentative.all() and tentative.any():
@@ -519,24 +534,40 @@ def solve(
                 if not keep.all():
                     terms_w = terms_w.restrict(keep)
                     live[np.where(live)[0][~keep]] = False
-                    z = z[keep]
+                    z, s = z[keep], s[keep]
                     kept = _independent_rows(a_act[:, live])
                     b_w = b[kept]
                     newton = _Newton(a_act[:, live][kept], terms_w)
         t_bar *= 10.0
 
-    z_local = embed(z)
+    def residual(z_local: np.ndarray) -> float:
+        return float(np.max(np.abs(a_act @ z_local - b))) if b.size else 0.0
+
+    z_local = np.zeros(nb0)
+    z_local[live] = z
     value = terms_w.objective(z)
     gap = z.size / t_bar if z.size else 0.0
-    primal = float(np.max(np.abs(a_act @ z_local - b))) if b.size else 0.0
+    primal = residual(z_local)
 
     if not live.all() and snapshot is not None:
         # The face continuation must beat the cautious stage; otherwise the
-        # face was misidentified and the pre-freeze iterate is the answer.
-        if not math.isfinite(value) or value > snapshot[2] + 1e-4 or primal > 1e-8:
-            z_local, t_snap, value = snapshot
-            gap = nb0 / t_snap
-            primal = float(np.max(np.abs(a_act @ z_local - b))) if b.size else 0.0
+        # face was misidentified, and the path continues from the snapshot
+        # on the unfrozen problem.  The snapshot is the answer only when
+        # that fails too.
+        z_snap, s, t_snap, newton, b_w = snapshot
+        if not math.isfinite(value) or value > newton.terms.objective(z_snap) + 1e-4 or (
+            primal > 1e-8
+        ):
+            z, t_bar = z_snap, t_snap
+            while nb0 / t_bar > gap_tol and t_bar < 1e16:
+                t_bar *= 10.0
+                z, it, s = _center(newton, b_w, z, t_bar, INNER_TOL, s)
+                total_iters += it
+            value, primal = newton.terms.objective(z), residual(z)
+            if not math.isfinite(value) or primal > 1e-8:
+                z, t_bar = z_snap, t_snap
+                value, primal = newton.terms.objective(z), residual(z)
+            z_local, gap = z, nb0 / t_bar
 
     z_full = np.zeros(n)
     z_full[np.where(active)[0]] = z_local

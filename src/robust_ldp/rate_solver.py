@@ -29,7 +29,7 @@ from ._entropic import Term
 from .chain_core import MASS_ZERO, BallSet, ChainSpec, Dist, Kernel
 from .divergence import DivergenceModel, Variant, rel_entropy, resolve_model
 from .set_chain import NU_MASS_TOL, InvariantPolytope, stationary
-from .transport import w1
+from .transport import ball_membership
 
 # Support threshold for solver outputs (barrier iterates park vanishing
 # coordinates at the complementarity scale, well below this).
@@ -112,7 +112,7 @@ def _try_zero_rate(
             return _zero_rate_report(fixed_nu, pk)
     else:
         mu_star, _ = stationary(pk)
-        if ball is None or w1(spec.space, mu_star, ball.center).value <= ball.kappa + 1e-12:
+        if ball is None or ball_membership(spec.space, mu_star, ball):
             return _zero_rate_report(mu_star, pk)
     lp = poly.ball_lp()
     res = lp.solve(np.zeros(poly.count))

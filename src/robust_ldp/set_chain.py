@@ -341,16 +341,31 @@ class InvariantPolytope:
         return Affine(self.nu_ids[x : x + 1], np.array([p]))
 
     def start(self) -> np.ndarray | None:
-        """A strictly feasible point where one is known in closed form: for
-        a fixed law with r > 0 and free supports, the product occupation
-        plus near-diagonal couplings.  None otherwise."""
-        if self.fixed is None or self.r == 0.0 or self.restrict:
+        """A strictly feasible point where one is known in closed form: with
+        r > 0 and free supports, the product occupation plus near-diagonal
+        couplings, at the fixed law or, for a free law in a target ball, at
+        the row sums of a near-diagonal coupling to the ball's centre.
+        None otherwise."""
+        if self.r == 0.0 or self.restrict or (self.fixed is None and self.ball is None):
             return None
         pk = self.spec.kernel.rows
         d = self.spec.space.dist
-        nu = self.fixed
         cols = np.arange(self.spec.space.n)
         z0 = np.zeros(self.count)
+        if self.fixed is None:
+            # g0 keeps most of the centre's mass in place and spreads a
+            # share eps uniformly, costing at most half the budget kappa.
+            c = self.ball.center.p[self.cols0]
+            spread = float(np.mean(d[:, self.cols0] @ c))
+            eps = min(0.5, 0.5 * self.ball.kappa / max(spread, 1e-300))
+            g0 = np.outer(np.full(cols.size, eps / cols.size), c)
+            g0[self.cols0, np.arange(c.size)] += (1.0 - eps) * c
+            z0[self.g0_ids] = g0
+            z0[self.s0_id] = self.ball.kappa - float(np.sum(d[:, self.cols0] * g0))
+            nu = g0.sum(axis=1)
+            z0[self.nu_ids] = nu
+        else:
+            nu = self.fixed
         for x, y in self.taus():
             z0[self.tau_ids[x, y]] = nu[x] * nu[y]
         rows = {x: np.where(self.live[x])[0] for x in self.states}

@@ -34,6 +34,17 @@ GAP_TOL = 1e-9
 # Closed-ball membership slack for float-boundary cases.
 BALL_ATOL = 1e-10
 
+# HiGHS options for the transport LP.  At the default feasibility
+# tolerances of 1e-7, marginals with entries below about 1e-6 can make the
+# LP come back "infeasible", or its value miss the optimum by ~1e-7.  With
+# tolerances of 1e-10, presolve in turn declares marginals with entries
+# near 1e-11 infeasible, so it is off.
+W1_OPTIONS = {
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-10,
+    "presolve": False,
+}
+
 # Entries of the (triple, target) arrays that ``ball_sup`` wraps hulls in
 # at once; it bounds their memory when each row has its own mask.
 HULL_CHUNK = 1 << 18
@@ -105,6 +116,7 @@ def w1(space: MetricSpace, mu: Dist, nu: Dist) -> W1Result:
         b_eq=np.concatenate([mu.p, nu.p]),
         bounds=(0, None),
         method="highs-ds",
+        options=W1_OPTIONS,
     )
     if res.status != 0:  # pragma: no cover - marginals always match
         raise RuntimeError(f"transport LP failed: {res.message}")

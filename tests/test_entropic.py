@@ -129,6 +129,33 @@ def test_least_squares_fallback_matches_dense_kkt(
     _assert_close(newton.step(g, rp), _dense_kkt(h, a, g, rp))
 
 
+def test_schur_fallback_matches_dense_kkt(recorded, example_spec, example_ball, monkeypatch):
+    # Only the m x m Schur complement is refused: the capacitance keeps its
+    # Cholesky factor and the Schur solve goes through the eigendecomposition.
+    prog = _program(recorded, "r>0", example_spec, example_ball)
+    a = prog.a_eq[_entropic._independent_rows(prog.a_eq)]
+    newton = _entropic._Newton(a, _entropic._Terms.of(prog.terms))
+    assert newton.m != newton.k
+    rng = np.random.default_rng(6)
+    z = rng.uniform(0.05, 1.0, prog.n_vars)
+    rp = 1e-3 * rng.standard_normal(a.shape[0])
+    g = newton.linearize(z, 10.0)
+    g_f, h_f = entropic_grad_hess(prog.terms, z, prog.n_vars)
+    h = 10.0 * h_f + np.diag(1.0 / z**2)
+    real = _entropic.cho_factor
+    refused = []
+
+    def refuse_schur(mat):
+        if mat.shape[0] == newton.m:
+            refused.append(mat.shape)
+            raise LinAlgError("not positive definite")
+        return real(mat)
+
+    monkeypatch.setattr(_entropic, "cho_factor", refuse_schur)
+    _assert_close(newton.step(g, rp), _dense_kkt(h, a, g, rp))
+    assert refused
+
+
 def test_freeze_keeps_denominators_and_restrict_renumbers(recorded, example_spec, example_ball):
     prog = _program(recorded, "r>0", example_spec, example_ball)
     terms = _entropic._Terms.of(prog.terms)
@@ -165,7 +192,7 @@ def test_centering_never_raises_the_equality_residual(
         return exact(self, g, rp) + 1e-6 * rng.standard_normal(g.size)
 
     monkeypatch.setattr(_entropic._Newton, "step", inexact)
-    z, iters = _entropic._center(newton, b, z0, 10.0)
+    z, iters, _ = _entropic._center(newton, b, z0, 10.0, 1e-10, 1.0 / (10.0 * z0))
     assert iters > 1 and not np.array_equal(z, z0)
     assert np.max(np.abs(b - a @ z)) <= max(np.max(np.abs(b - a @ z0)), 1e-12)
 

@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,9 +25,64 @@ from robust_ldp import (
 )
 from robust_ldp.divergence import DivergenceModel, Variant
 
-from conftest import certificate_corpus, random_simplex, three_state_corpus, two_state_corpus
+from conftest import (
+    certificate_corpus,
+    random_kernel,
+    random_metric,
+    random_simplex,
+    three_state_corpus,
+    two_state_corpus,
+)
 
 from oracles import kl_full, rate_two_state_grid
+
+
+# Two chains of the benchmark corpus (``bench/corpus.py`` ``rate_items``)
+# whose tail-rate solves froze an infeasible face after the cautious
+# stage and ended ``max_iterations``: the discrete ``rate_items(19, 3)[5]``
+# and the Euclidean ``rate_items(15, 4)[1]``, both with r = 0.05.
+FROZEN_FACE_DISCRETE_KERNEL = [
+    [0.13213303344972388, 0.07754561382254435, 0.1723403631005177,
+     0.06738551983942531, 0.2751001411973782, 0.2754953285904106],
+    [0.08402046296121729, 0.027342148690832277, 0.05595218307561378,
+     0.2614213407852311, 0.3246157257079188, 0.24664813877918684],
+    [0.42678533913680805, 0.17931759272907954, 0.050343464034273894,
+     0.08244328044352137, 0.10112191292236604, 0.1599884107339511],
+    [0.1588382087290838, 0.06287579139903204, 0.12454573312147028,
+     0.06880120444510202, 0.31247603378912564, 0.2724630285161862],
+    [0.1091082907417409, 0.040926433552554556, 0.27748378176737976,
+     0.49539417872487895, 0.027101681606818948, 0.049985633606627014],
+    [0.17234552746487516, 0.12000147718376328, 0.022686323647835065,
+     0.4175622931455801, 0.15278371902819116, 0.11462065952975524],
+]
+FROZEN_FACE_EUCLID_KERNEL = [
+    [0.22930395582242366, 0.5194707469604909, 0.11435027255537243,
+     0.026885352961895672, 0.02887167772983407, 0.0811179939699832],
+    [0.17253916247300666, 0.2391494561436691, 0.22774651875808372,
+     0.08897963633869245, 0.11552527712088685, 0.1560599491656613],
+    [0.33741756783201, 0.06543379738198546, 0.08955270109040271,
+     0.1259662141252131, 0.14743709225038878, 0.23419262732],
+    [0.21474228197439255, 0.34499986486198875, 0.21734408807076605,
+     0.11465678625640535, 0.03141516410713236, 0.07684181472931496],
+    [0.06044461409815159, 0.28981252659565215, 0.20611433275907953,
+     0.1085241054109059, 0.22079353536634794, 0.11431088576986291],
+    [0.14579586980383333, 0.10519394534042541, 0.2688359772030993,
+     0.11689579846670455, 0.32954504303134485, 0.03373336615459268],
+]
+FROZEN_FACE_EUCLID_METRIC = [
+    [0.0, 0.4997269694910009, 0.062286763415500546,
+     0.7795869235438582, 0.6875056594600849, 0.6433025444162663],
+    [0.4997269694910009, 0.0, 0.5612076988903951,
+     0.8182079805595697, 1.0, 0.957044387838857],
+    [0.062286763415500546, 0.5612076988903951, 0.0,
+     0.78658417412181, 0.6550821037930159, 0.6117147086024244],
+    [0.7795869235438582, 0.8182079805595697, 0.78658417412181,
+     0.0, 0.4830533624737298, 0.4704641562390277],
+    [0.6875056594600849, 1.0, 0.6550821037930159,
+     0.4830533624737298, 0.0, 0.05],
+    [0.6433025444162663, 0.957044387838857, 0.6117147086024244,
+     0.4704641562390277, 0.05, 0.0],
+]
 
 
 def test_rate_at_invariant_measure_is_exactly_zero(example_spec):
@@ -99,14 +158,17 @@ def test_report_invariants(example_spec, example_ball):
     assert report.value == pytest.approx(recomputed, abs=1e-6)
 
     # Independent certificate checks on the example and a corpus of 3-5
-    # state chains.  An unconverged report claims no certificate and is not
-    # checked.
+    # state chains, every one of which converges.
     cases = [(example_spec, False, example_ball)] + certificate_corpus()
     for spec, ac, ball in cases:
         model = Variant.ROBUST_ENTROPY_AC if ac else Variant.ROBUST_ENTROPY
         report = tail_rate(spec, ball, model)
-        if report.converged:
-            _assert_certified(spec, ac, ball, report)
+        assert report.converged
+        _assert_certified(spec, ac, ball, report)
+    # The n = 5 discrete AC chain once ended max_iterations at KKT 1.2e-7.
+    spec, ac, ball = certificate_corpus()[2]
+    report = tail_rate(spec, ball, Variant.ROBUST_ENTROPY_AC)
+    assert ac and report.value == pytest.approx(0.84115399, abs=1e-7)
 
 
 def _assert_certified(spec, ac, ball, report):
@@ -130,17 +192,71 @@ def _assert_certified(spec, ac, ball, report):
 def test_transient_state_chain_never_claims_a_wrong_rate():
     # A 3-state chain with a transient state, on whose free-law tail-rate
     # program inexact Newton steps can drift off the equality constraints
-    # to negative objectives.  The report may say it did not converge; a
-    # converged report must be nonnegative, carry a valid certificate, and
-    # match 0.098327 from scipy's trust-constr on the same program
-    # (accurate to about 1e-6).
+    # to negative objectives.  The report must converge, be nonnegative,
+    # carry a valid certificate, and match 0.098327 from scipy's
+    # trust-constr on the same program (accurate to about 1e-6).
     spec, ac, ball = certificate_corpus()[0]
     model = Variant.ROBUST_ENTROPY_AC if ac else Variant.ROBUST_ENTROPY
     report = tail_rate(spec, ball, model)
-    if report.converged:
-        assert report.value >= 0.0
-        _assert_certified(spec, ac, ball, report)
-        assert report.value == pytest.approx(0.098327, abs=1e-5)
+    assert report.converged
+    assert report.value >= 0.0
+    _assert_certified(spec, ac, ball, report)
+    assert report.value == pytest.approx(0.098327, abs=1e-5)
+
+
+@pytest.mark.parametrize(
+    "kernel, metric, center, kappa, expected",
+    [
+        (FROZEN_FACE_DISCRETE_KERNEL, None, 2, 0.3, 0.8932927152),
+        (FROZEN_FACE_EUCLID_KERNEL, FROZEN_FACE_EUCLID_METRIC, 0, 0.1, 0.3071012768),
+    ],
+    ids=["discrete", "euclid"],
+)
+def test_frozen_face_chains_converge(kernel, metric, center, kappa, expected):
+    labels = [f"s{i}" for i in range(6)]
+    space = MetricSpace.discrete(labels) if metric is None else MetricSpace.from_matrix(
+        labels, metric
+    )
+    spec = ChainSpec.build(space, np.full(6, 1.0 / 6.0), kernel, 0.05)
+    ball = BallSet(Dist.dirac(center, 6), kappa)
+    report = tail_rate(spec, ball)
+    assert report.converged
+    _assert_certified(spec, False, ball, report)
+    assert report.value == pytest.approx(expected, abs=1e-7)
+
+
+# The Euclidean n = 12 chain of the bench/corpus.py recipe, on which a
+# Cholesky failure once sent the Newton step to a dense KKT least-squares
+# solve that took most of a 14 s solve.
+N12_SOLVE = """
+import json, time
+import numpy as np
+from robust_ldp import BallSet, ChainSpec, Dist, stationary, tail_rate
+from conftest import random_kernel, random_metric, random_simplex
+rng = np.random.default_rng(1012)
+space = random_metric(rng, 12)
+kernel = random_kernel(rng, 12)
+spec = ChainSpec.build(space, random_simplex(rng, 12).p, kernel.rows, 0.05)
+ball = BallSet(Dist.dirac(int(np.argmin(stationary(spec.kernel)[0].p)), 12), 0.1)
+start = time.perf_counter()
+report = tail_rate(spec, ball)
+elapsed = time.perf_counter() - start
+print(json.dumps({"elapsed": elapsed, "converged": report.converged, "value": report.value}))
+"""
+
+
+def test_euclidean_n12_solve_is_fast_and_converges():
+    # Timed in a process with one BLAS thread: on a small host shared with
+    # other processes, OpenBLAS threads make every small factorisation of
+    # the Newton step wait for a time slice, which times the host instead.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", N12_SOLVE], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    result = json.loads(out.stdout)
+    assert result["converged"]
+    assert result["value"] == pytest.approx(0.9439789, abs=1e-7)
+    assert result["elapsed"] < 3.0
 
 
 def test_ball_containing_stationary_gives_zero(example_spec):

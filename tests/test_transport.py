@@ -33,6 +33,57 @@ def test_two_point_value():
     assert value == pytest.approx(0.2, abs=1e-12)
 
 
+def test_w1_to_dirac_with_tiny_masses():
+    # Entries far below HiGHS's default feasibility tolerance of 1e-7 once
+    # made the transport LP report "infeasible" or miss the optimum by 1e-7.
+    # Against a Dirac at s the plan is forced, so W1 = <d(., s), mu>.
+    mu = Dist.from_values(
+        [0.16830798177708853, 0.07202753070119675, 6.392997309958112e-08,
+         0.7436554134933244, 0.016008953721558583, 5.6376858681748216e-08]
+    )
+    space = MetricSpace.discrete([f"s{i}" for i in range(6)])
+    assert w1(space, mu, Dist.dirac(3, 6)).value == pytest.approx(1.0 - mu.p[3], abs=1e-12)
+    rng = np.random.default_rng(2718)
+    for _ in range(300):
+        n = int(rng.integers(3, 9))
+        space = random_metric(rng, n, discrete=bool(rng.integers(2)))
+        p = rng.dirichlet(np.ones(n))
+        tiny = rng.uniform(size=n) < 0.4
+        p[tiny] = 10.0 ** rng.uniform(-9.0, -6.0, int(tiny.sum()))
+        mu = Dist(p / p.sum())
+        s = int(rng.integers(n))
+        value = w1(space, mu, Dist.dirac(s, n)).value
+        assert value == pytest.approx(float(space.dist[:, s] @ mu.p), abs=1e-12)
+
+
+def test_w1_with_masses_near_1e_11():
+    # Tight feasibility tolerances made HiGHS presolve call this LP (a
+    # worst-case row against its nominal row) infeasible.
+    d = np.array(
+        [[0.0, 0.2565379437926351, 0.05, 0.6864965247534988, 0.4346356298139935,
+          0.43115424933622404],
+         [0.2565379437926351, 0.0, 0.3014533914801141, 0.5398497437227858,
+          0.4543537400941834, 0.4602299473747721],
+         [0.05, 0.3014533914801141, 0.0, 0.7097773596018149, 0.4344733366013779,
+          0.45352169192932285],
+         [0.6864965247534988, 0.5398497437227858, 0.7097773596018149, 0.0,
+          0.3905819333331469, 1.0],
+         [0.4346356298139935, 0.4543537400941834, 0.4344733366013779, 0.3905819333331469,
+          0.0, 0.8485686284351812],
+         [0.43115424933622404, 0.4602299473747721, 0.45352169192932285, 1.0,
+          0.8485686284351812, 0.0]]
+    )
+    space = MetricSpace.from_matrix([f"s{i}" for i in range(6)], d)
+    mu = Dist(np.array([0.3928200619003481, 4.152782033385403e-11, 7.798041612619213e-11,
+                        0.44527145739309876, 0.1619084805632215, 2.382348429734622e-11]))
+    nu = Dist(np.array([0.10646681909323194, 0.027332542092264447, 0.18058967558037112,
+                        0.4452714573972458, 0.20293021367826564, 0.03740929215862114]))
+    value, plan, potential = w1(space, mu, nu)
+    assert value == pytest.approx(0.05, abs=1e-9)
+    assert dual_value(potential, mu, nu) == pytest.approx(value, abs=1e-9)
+    np.testing.assert_allclose(plan.gamma.sum(axis=1), mu.p, atol=1e-10)
+
+
 def test_primal_dual_agreement_random():
     rng = np.random.default_rng(99)
     for trial in range(100):
