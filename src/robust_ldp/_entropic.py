@@ -327,8 +327,8 @@ def _inverse(mat: np.ndarray):
     except LinAlgError:
         w, v = np.linalg.eigh(0.5 * (mat + mat.T))
         on = w > EIG_DROP * max(w[-1], 0.0)
-        pinv = (v[:, on] / w[on]) @ v[:, on].T
-        return lambda x: pinv @ x
+        v, w = v[:, on], w[on]
+        return lambda x: v @ ((v.T @ x).T / w).T
 
 
 def _phase_one(a: np.ndarray, b: np.ndarray):
@@ -555,9 +555,8 @@ def solve(
         # on the unfrozen problem.  The snapshot is the answer only when
         # that fails too.
         z_snap, s, t_snap, newton, b_w = snapshot
-        if not math.isfinite(value) or value > newton.terms.objective(z_snap) + 1e-4 or (
-            primal > 1e-8
-        ):
+        snap_value = newton.terms.objective(z_snap)
+        if not math.isfinite(value) or value > snap_value + 1e-4 or primal > 1e-8:
             z, t_bar = z_snap, t_snap
             while nb0 / t_bar > gap_tol and t_bar < 1e16:
                 t_bar *= 10.0
@@ -565,8 +564,8 @@ def solve(
                 total_iters += it
             value, primal = newton.terms.objective(z), residual(z)
             if not math.isfinite(value) or primal > 1e-8:
-                z, t_bar = z_snap, t_snap
-                value, primal = newton.terms.objective(z), residual(z)
+                z, t_bar, value = z_snap, t_snap, snap_value
+                primal = residual(z)
             z_local, gap = z, nb0 / t_bar
 
     z_full = np.zeros(n)
