@@ -25,14 +25,7 @@ from robust_ldp import (
 )
 from robust_ldp.divergence import DivergenceModel, Variant
 
-from conftest import (
-    certificate_corpus,
-    random_kernel,
-    random_metric,
-    random_simplex,
-    three_state_corpus,
-    two_state_corpus,
-)
+from conftest import certificate_corpus, random_simplex, three_state_corpus, two_state_corpus
 
 from oracles import kl_full, rate_two_state_grid
 
