@@ -353,16 +353,13 @@ class InvariantPolytope:
         cols = np.arange(self.spec.space.n)
         z0 = np.zeros(self.count)
         if self.fixed is None:
-            # g0 keeps most of the centre's mass in place and spreads a
-            # share eps uniformly, costing at most half the budget kappa.
-            c = self.ball.center.p[self.cols0]
-            spread = float(np.mean(d[:, self.cols0] @ c))
-            eps = min(0.5, 0.5 * self.ball.kappa / max(spread, 1e-300))
-            g0 = np.outer(np.full(cols.size, eps / cols.size), c)
-            g0[self.cols0, np.arange(c.size)] += (1.0 - eps) * c
-            z0[self.g0_ids] = g0
-            z0[self.s0_id] = self.ball.kappa - float(np.sum(d[:, self.cols0] * g0))
-            nu = g0.sum(axis=1)
+            # g0 is the transpose of a coupling of the centre to all states.
+            center, dsub = self.ball.center.p, d[self.cols0]
+            spread = float(center[self.cols0] @ dsub.mean(axis=1))
+            g, cost = coupling_start(center, self.cols0, cols, dsub, self.ball.kappa, spread)
+            z0[self.g0_ids] = g.T
+            z0[self.s0_id] = self.ball.kappa - cost
+            nu = g.sum(axis=0)
             z0[self.nu_ids] = nu
         else:
             nu = self.fixed
