@@ -220,7 +220,9 @@ class _Newton:
     """The Newton system of ``min t f(z) - sum ln z  s.t.  a z = b`` for one
     working problem: rows ``a`` (full row rank) and the objective ``terms``.
 
-    With D = diag(1/z^2) and C = diag(1/(t w)) + S^T D^-1 S,
+    With the barrier diagonal D (diag(1/z^2) after ``linearize``; the
+    caller may replace D^-1, ``dinv``, by the primal-dual z / (t s)) and
+    C = diag(1/(t w)) + S^T D^-1 S,
 
         H^-1 = D^-1 - D^-1 S C^-1 S^T D^-1,
         A H^-1 A^T = A D^-1 A^T - U C^-1 U^T,   U = A D^-1 S.
