@@ -9,13 +9,18 @@ how the blocks are scheduled across workers.
 
 A block of BLOCK paths draws its uniforms path-major, length draws per
 path, TILE paths at a time; consecutive draws continue the stream, so
-the tiling does not change which draw a path step uses.  Each tile is
-walked time-major on the transpose of its draws: one step of every path
-in the tile is a few contiguous array operations, states are kept as
-small integers, and the occupation counts are taken once the walk ends.
-A worker thus holds O(TILE x length) floats, not the whole block.  The
-distinct count vectors go to the ball-membership test in lexicographic
-order.
+the tiling does not change which draw a path step uses.  The cumulative
+thresholds of all kernel rows merge into one sorted list of breakpoints.
+A draw between two consecutive breakpoints sends each state to one fixed
+next state, so the kernel becomes one transition table, built once per
+call.  Each tile's draws become small-integer interval codes in a few
+vectorised passes, stored time-major for the whole block.  A walk step
+then moves every path of the block with one add and one gather,
+``idx = code[t] + state; state = table[idx]``, and writes the states over
+the codes; the occupation counts are taken once the walk ends.  A worker
+thus holds TILE x length floats and one length x BLOCK array of small
+integers.  The distinct count vectors go to the ball-membership test in
+lexicographic order.
 """
 
 from __future__ import annotations
@@ -34,9 +39,15 @@ from .transport import in_ball
 # Fixed path-block size: the unit of work and of random-stream derivation.
 BLOCK = 16384
 
-# Paths drawn and walked at a time inside a block; bounds a worker's
-# working set to a few TILE x length arrays.
+# Paths drawn at a time inside a block; bounds the float draws a worker
+# holds to TILE x length.
 TILE = 2048
+
+# Guide buckets per merged threshold interval, so that at most about one
+# draw in GUIDE_PER_BREAK needs a binary search; GUIDE_MAX bounds the
+# guide's size on chains with very many thresholds.
+GUIDE_PER_BREAK = 64
+GUIDE_MAX = 1 << 16
 
 # Lengths enter the slope fit only with at least this many hits; rarer
 # counts inflate the variance beyond usefulness.
@@ -130,44 +141,90 @@ def _validate(plan: SimPlan):
         raise ValueError("dimension mismatch")
 
 
-def _block_hits(plan: SimPlan, length_index: int, block_index: int, count: int) -> int:
-    spec = plan.spec
-    ns = spec.space.n
-    n = plan.lengths[length_index]
-    pi0_cum = np.cumsum(spec.pi0.p)
-    pi0_cum[-1] = 1.0
-    # cols[k, x] = P(x, {0..k}); the last cumulative column is 1.0 and no
-    # draw reaches it, so it never moves a state and is left out.
-    cols = np.cumsum(plan.play_kernel.rows, axis=1)[:, :-1].T.copy()
-    state_dtype = np.int8 if ns < 128 else np.intp
+class _Walk:
+    """The play kernel as one transition table over the merged thresholds.
 
+    ``breaks`` holds every row's cumulative thresholds below 1.0, sorted and
+    distinct.  A draw u with j breakpoints at or below it moves state x to
+    ``table[j * ns + x]``, the number of row x's thresholds at or below u;
+    j * ns is the draw's code.  The table has (len(breaks) + 1) * ns
+    entries, at most about ns**3.
+
+    ``guide`` gives the code of every draw in each of its G equal buckets
+    of [0, 1), or -1 where a breakpoint lies inside the bucket; only draws
+    in such buckets, about one in GUIDE_PER_BREAK or fewer, take a binary
+    search.
+    """
+
+    def __init__(self, plan: SimPlan):
+        ns = plan.spec.space.n
+        self.ns = ns
+        self.pi0_cum = np.cumsum(plan.spec.pi0.p)
+        self.pi0_cum[-1] = 1.0
+        cum = np.cumsum(plan.play_kernel.rows, axis=1)[:, :-1]
+        self.breaks = np.unique(cum[cum < 1.0])
+        intervals = self.breaks.size + 1
+        # codes, table entries and the -1 mark share the smallest signed type
+        self.dtype = np.min_scalar_type(-intervals * ns)
+        # A threshold equal to breaks[i] counts from interval i + 1 on; one
+        # at or above 1.0 (i = breaks.size) never counts.
+        first = (np.searchsorted(self.breaks, cum) + 1) * ns + np.arange(ns)[:, None]
+        starts = np.bincount(first.ravel(), minlength=(intervals + 1) * ns)[: intervals * ns]
+        self.table = starts.reshape(intervals, ns).cumsum(axis=0).astype(self.dtype).ravel()
+
+        g = min(GUIDE_MAX, 1 << (GUIDE_PER_BREAK * intervals - 1).bit_length())
+        scaled = self.breaks * g  # exact: g is a power of two
+        lift = np.ceil(scaled).astype(np.intp)  # first bucket wholly at or above
+        below = np.bincount(lift, minlength=g + 1)[:g].cumsum()
+        self.guide = (below * ns).astype(self.dtype)
+        self.guide[scaled[scaled != lift].astype(np.intp)] = -1
+
+    def codes(self, u: np.ndarray) -> np.ndarray:
+        """Code of every draw in ``u``: j * ns for the interval j holding it."""
+        bucket = np.empty(u.shape, dtype=np.intp)
+        # u * G is exact for a power of two G, and the cast floors it
+        np.multiply(u, self.guide.size, out=bucket, casting="unsafe")
+        code = self.guide.take(bucket)
+        flat = code.reshape(-1)
+        split = np.flatnonzero(flat < 0)
+        flat[split] = np.searchsorted(self.breaks, u.reshape(-1)[split], side="right") * self.ns
+        return code
+
+
+def _block_hits(
+    plan: SimPlan, length_index: int, block_index: int, count: int, walk: _Walk | None = None
+) -> int:
+    if walk is None:
+        walk = _Walk(plan)
+    n = plan.lengths[length_index]
     key = np.array(
         [np.uint64(plan.seed), np.uint64((length_index << 32) | block_index)],
         dtype=np.uint64,
     )
     gen = Generator(Philox(key=key))
-    counts = np.empty((count, ns), dtype=np.int64)
+    # Row t holds step t's codes until the walk replaces them by its states.
+    path = np.empty((n, count), dtype=walk.dtype)
     for start in range(0, count, TILE):
         m = min(TILE, count - start)
-        # Row t of u is the t-th draw of each path in the tile.
-        u = gen.random((m, n)).T.copy()
-        states = np.empty((n, m), dtype=state_dtype)
-        states[0] = np.searchsorted(pi0_cum, u[0], side="right")
-        for t in range(1, n):
-            # u >= c_k matches searchsorted(side="right"): state k owns [c_{k-1}, c_k)
-            np.greater_equal(u[t], cols.take(states[t - 1], axis=1)).sum(
-                axis=0, dtype=state_dtype, out=states[t]
-            )
-        for k in range(ns):
-            counts[start : start + m, k] = np.count_nonzero(states == k, axis=0)
+        u = gen.random((m, n))
+        code = walk.codes(u)
+        code[:, 0] = np.searchsorted(walk.pi0_cum, u[:, 0], side="right")
+        path[:, start : start + m] = code.T
+    idx = np.empty(count, dtype=np.intp)
+    for t in range(1, n):
+        np.add(path[t], path[t - 1], out=idx)
+        walk.table.take(idx, out=path[t])
+    counts = np.empty((walk.ns, count), dtype=np.int32)
+    for k in range(walk.ns):
+        np.sum(path == k, axis=0, dtype=np.int32, out=counts[k])
 
     # Distinct count vectors in lexicographic order, with multiplicities.
-    counts = counts[np.lexsort(counts.T[::-1])]
+    counts = counts.T[np.lexsort(counts[::-1])]
     new = np.ones(count, dtype=bool)
     np.any(counts[1:] != counts[:-1], axis=1, out=new[1:])
     first = np.flatnonzero(new)
     mult = np.diff(first, append=count)
-    return int(mult[in_ball(spec.space, counts[first] / n, plan.ball)].sum())
+    return int(mult[in_ball(plan.spec.space, counts[first] / n, plan.ball)].sum())
 
 
 def simulate_paths(plan: SimPlan, threads: int | None = None) -> RateEstimate:
@@ -178,8 +235,8 @@ def simulate_paths(plan: SimPlan, threads: int | None = None) -> RateEstimate:
     exactly, independent of the worker count.
     """
     _validate(plan)
-    workers = resolve_threads(threads)
     npaths = plan.paths_per_length
+    walk = _Walk(plan)
 
     jobs = []
     for li in range(len(plan.lengths)):
@@ -188,17 +245,19 @@ def simulate_paths(plan: SimPlan, threads: int | None = None) -> RateEstimate:
 
     def run(job):
         li, bi, count = job
-        return li, _block_hits(plan, li, bi, count)
+        return li, _block_hits(plan, li, bi, count, walk)
 
     hits = np.zeros(len(plan.lengths), dtype=np.int64)
+    workers = min(resolve_threads(threads), len(jobs))
     if workers > 1:
+        # Longest blocks first, so that the last ones to finish are short.
+        jobs.sort(key=lambda job: plan.lengths[job[0]] * job[2], reverse=True)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for li, h in pool.map(run, jobs):
-                hits[li] += h
+            results = list(pool.map(run, jobs))
     else:
-        for job in jobs:
-            li, h = run(job)
-            hits[li] += h
+        results = map(run, jobs)
+    for li, h in results:
+        hits[li] += h
 
     lengths = np.asarray(plan.lengths, dtype=np.int64)
     p_hat = hits / npaths

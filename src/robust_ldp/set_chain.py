@@ -48,10 +48,12 @@ MAX_SWEEPS = 200
 # difference; it grows tenfold for a column whenever a step lowers a gain.
 GAIN_WEIGHT = 1e3
 
-# HiGHS primal feasibility tolerance for the invariant-kernel LPs.  At the
-# default 1e-7, optimal points go negative by ~5e-8 and occupation masses
-# of order 1e-6 come out up to 1e-8 off, depending on the row layout.
-LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10}
+# HiGHS feasibility tolerances for the invariant-kernel LPs.  At the
+# default primal 1e-7, optimal points go negative by ~5e-8 and occupation
+# masses of order 1e-6 come out up to 1e-8 off, depending on the row
+# layout.  At the default dual 1e-7, HiGHS can stop short of the optimum:
+# on a Euclidean n = 15 chain at r = 0.05 by 3.3e-9.
+LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,6 +13,7 @@ from robust_ldp import (
     SimPlan,
     compare_rates,
     simulate_paths,
+    tail_rate,
 )
 from robust_ldp import montecarlo
 from robust_ldp.transport import BALL_ATOL
@@ -213,8 +214,9 @@ def test_zero_draw_never_takes_a_zero_probability_transition(monkeypatch):
 def _walk_plans(seed=9090):
     """Chains on 2..8 states under both metrics, every other one with a zero
     entry in each kernel row; Dirac, two-point and uniform centers; lengths
-    1, 2 and 40; path counts around the tile and block sizes; and one chain
-    on 130 states."""
+    1, 2 and 40; path counts around the tile and block sizes; one chain on
+    130 states; one whose thresholds repeat and sit at 0.0; and a Euclidean
+    chain on 12 states whose codes need more than int8."""
     rng = np.random.default_rng(seed)
     path_counts = (1, montecarlo.TILE - 1, montecarlo.TILE + 1, montecarlo.BLOCK + 1)
     centers = ("dirac", "two-point", "uniform")
@@ -250,6 +252,29 @@ def _walk_plans(seed=9090):
     ball = BallSet(Dist.dirac(0, ns), 0.9)
     plan = SimPlan(spec, spec.kernel, ball, (1, 2, 40), montecarlo.TILE + 1, 17)
     plans.append(pytest.param(plan, id=f"ns{ns}-discrete-dirac-{montecarlo.TILE + 1}"))
+    # Rows on a grid of eighths: thresholds repeat within and across rows
+    # (rows 0 and 1 are equal), fall on guide bucket edges, and reach 1.0
+    # before the last column; row 2 starts with two zeros, so a threshold
+    # sits at 0.0.
+    ns = 5
+    rows = rng.multinomial(8, np.full(ns, 1.0 / ns), size=ns) / 8.0
+    rows[1] = rows[0]
+    rows[2] = (0.0, 0.0, 0.375, 0.125, 0.5)
+    spec = ChainSpec.build(MetricSpace.discrete(ns), random_simplex(rng, ns).p, rows, 0.05)
+    center = Dist(np.array([0.5, 0.0, 0.5, 0.0, 0.0]))
+    plan = SimPlan(spec, spec.kernel, BallSet(center, 0.4), (1, 2, 40), montecarlo.TILE + 1, 23)
+    plans.append(pytest.param(plan, id=f"ns{ns}-discrete-eighths-two-point-{montecarlo.TILE + 1}"))
+    # A Euclidean chain with 12 x 133 codes, past int8, and a row that
+    # starts with two zeros.
+    ns = 12
+    space = random_metric(rng, ns)
+    rows = random_kernel(rng, ns).rows.copy()
+    rows[0, :2] = 0.0
+    rows[0] /= rows[0].sum()
+    spec = ChainSpec.build(space, random_simplex(rng, ns).p, rows, 0.05)
+    ball = BallSet(Dist.dirac(int(rng.integers(ns)), ns), 0.3 * space.diameter)
+    plan = SimPlan(spec, spec.kernel, ball, (1, 2, 40), montecarlo.BLOCK + 1, 29)
+    plans.append(pytest.param(plan, id=f"ns{ns}-euclid-dirac-{montecarlo.BLOCK + 1}-zeros"))
     return plans
 
 
@@ -277,6 +302,29 @@ def test_walk_matches_path_parallel_reference(monkeypatch, plan):
             assert np.array_equal(probs, rows / n)
             hits += int(mult[mask].sum())
         assert est.hits[li] == hits
+
+
+def test_code_type_widens_with_the_table(example_spec, example_ball):
+    """Codes are int8 while states x intervals fits, and wider past it."""
+    plans = {p.id: p.values[0] for p in _walk_plans()}
+    example = SimPlan(example_spec, example_spec.kernel, example_ball, (1,), 1, 1)
+    assert montecarlo._Walk(example).dtype == np.int8
+    assert montecarlo._Walk(plans["ns12-euclid-dirac-16385-zeros"]).dtype == np.int16
+    assert montecarlo._Walk(plans["ns130-discrete-dirac-2049"]).dtype == np.int32
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_worked_example_hits_are_pinned(example_spec, example_ball, threads):
+    """Hit counts of the worked example under the nominal and the
+    worst-case kernel at seed 4242, the same at one and two threads."""
+    lengths = tuple(range(40, 161, 20))
+    worst = tail_rate(example_spec, example_ball).pi_hat
+    for kernel, want in (
+        (example_spec.kernel, [296, 44, 7, 0, 0, 0, 0]),
+        (worst, [1376, 392, 133, 34, 11, 4, 4]),
+    ):
+        plan = SimPlan(example_spec, kernel, example_ball, lengths, 32768, 4242)
+        assert simulate_paths(plan, threads=threads).hits.tolist() == want
 
 
 def test_block_working_set_is_bounded(example_spec, example_ball):

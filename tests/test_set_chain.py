@@ -29,6 +29,7 @@ from conftest import (
     polytope_chains,
     random_kernel,
     random_metric,
+    random_simplex,
     reducible_chains,
     slow_reducible_spec,
     three_state_corpus,
@@ -319,6 +320,27 @@ def test_reducible_chains_match_lp_oracle():
             value, argmax = robust_functional_bound(s, model, w)
             assert abs(value - functional_bound_lp(s, model, w)[0]) <= 1e-12
             assert abs(w @ argmax.p - value) <= 1e-12
+
+
+@pytest.mark.parametrize("n, seed", [(9, 0), (15, 2)])
+def test_larger_chains_match_lp_oracle(n, seed):
+    """On Euclidean chains with 9 and 15 states, at r = 0 and 0.05, plain
+    and AC, ``envelope`` and ``robust_functional_bound`` equal the LP oracle
+    within 1e-12.  On the 15-state chain at r = 0.05, an oracle with HiGHS's
+    default dual feasibility tolerance is 3.3e-9 off."""
+    rng = np.random.default_rng(seed)
+    space = random_metric(rng, n)
+    spec = ChainSpec.build(space, random_simplex(rng, n).p, random_kernel(rng, n).rows, 0.05)
+    w = rng.uniform(-1, 1, n)
+    for r in (0.0, 0.05):
+        s = spec.with_radius(r)
+        for model in (Variant.BALL_INDICATOR, Variant.BALL_INDICATOR_AC):
+            env = envelope(s, model)
+            lo, hi = envelope_lp(s, model)
+            assert np.max(np.abs(env.lo - lo)) <= 1e-12
+            assert np.max(np.abs(env.hi - hi)) <= 1e-12
+            value, _ = robust_functional_bound(s, model, w)
+            assert abs(value - functional_bound_lp(s, model, w)[0]) <= 1e-12
 
 
 def test_gain_weight_grows_until_steps_keep_gains(monkeypatch):
