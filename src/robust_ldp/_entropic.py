@@ -12,6 +12,12 @@ whose reference measures are themselves decision variables (marginals of
 transport couplings), which is the shape of all robust-divergence and
 rate programs in this package.
 
+An ``EntropicProgram`` holds the rows A as a ``scipy.sparse.csc_array``
+and the objective as ``Terms``, flat arrays with one numerator per term
+and one (variable, coefficient, term) triple per denominator entry.  The
+builders emit both forms directly, and the solver never forms a dense A
+except for the pivoted QR that picks independent rows.
+
 The Newton step uses the structure of these programs.  The Hessian of a
 term ``u ln(u/v)`` has rank one, so the Newton matrix at parameter t is
 
@@ -27,9 +33,10 @@ identity through a K x K capacitance matrix (K terms, so terms sharing a
 denominator variable are covered), and only the m x m Schur complement
 A H^-1 A^T of the m equality rows is formed and factored.  Where Cholesky
 fails on either small matrix, the eigendecomposition of its symmetric part
-solves in the least-squares sense instead.  The terms are stored as flat
-index arrays and every product is one vectorised sum over entry pairs
-fixed per working problem; nothing of size n_vars x n_vars is ever built.
+solves in the least-squares sense instead.  Every product is one
+vectorised sum over the entry pairs of the CSC triplets of A and the
+terms' entries, fixed per working problem; nothing of size
+n_vars x n_vars is ever built.
 
 The solve proceeds in three stages:
 
@@ -77,34 +84,12 @@ INNER_TOL = 1e-10
 EIG_DROP = 1e-14
 
 
-@dataclass(frozen=True)
-class Affine:
-    """Affine expression ``coef @ z[idx] + const`` with coef > 0, const >= 0."""
-
-    idx: np.ndarray
-    coef: np.ndarray
-    const: float = 0.0
-
-
-@dataclass(frozen=True)
-class Term:
-    """One objective term ``numer ln(numer / denom)``.
-
-    ``numer`` is a variable index when ``numer_var`` is set, otherwise the
-    positive constant ``numer_const``.
-    """
-
-    denom: Affine
-    numer_var: int | None = None
-    numer_const: float | None = None
-
-
 @dataclass
 class EntropicProgram:
     n_vars: int
-    a_eq: np.ndarray
+    a_eq: sp.csc_array
     b_eq: np.ndarray
-    terms: list[Term]
+    terms: Terms
     constant: float = 0.0
 
 
@@ -124,12 +109,14 @@ class EntropicSolution:
 
 
 @dataclass(frozen=True)
-class _Terms:
+class Terms:
     """The objective terms as flat arrays.
 
     Term k has numerator ``z[numer[k]]``, or the constant ``numer_const[k]``
-    where ``numer[k]`` is -1, and denominator ``const[k]`` plus
-    ``coef[e] * z[idx[e]]`` summed over the entries e with ``term[e] == k``.
+    where ``numer[k]`` is -1 (``numer_const[k]`` is 0 otherwise), and
+    denominator ``const[k]`` plus ``coef[e] * z[idx[e]]`` summed over the
+    entries e with ``term[e] == k``, in entry order; the coefficients are
+    positive and the constants nonnegative.
     """
 
     numer: np.ndarray
@@ -138,17 +125,6 @@ class _Terms:
     coef: np.ndarray
     term: np.ndarray
     const: np.ndarray
-
-    @classmethod
-    def of(cls, terms: list[Term]) -> _Terms:
-        return cls(
-            np.array([-1 if t.numer_var is None else t.numer_var for t in terms], dtype=np.int64),
-            np.array([0.0 if t.numer_var is not None else t.numer_const for t in terms]),
-            np.concatenate([np.zeros(0, np.int64)] + [t.denom.idx for t in terms]),
-            np.concatenate([np.zeros(0)] + [t.denom.coef for t in terms]),
-            np.repeat(np.arange(len(terms)), [t.denom.idx.size for t in terms]),
-            np.array([t.denom.const for t in terms], dtype=np.float64),
-        )
 
     @property
     def size(self) -> int:
@@ -183,7 +159,7 @@ class _Terms:
             return math.inf
         return float(np.sum(u[on] * np.log(u[on] / v[on])))
 
-    def restrict(self, keep: np.ndarray) -> _Terms:
+    def restrict(self, keep: np.ndarray) -> Terms:
         """The terms over the kept coordinates, renumbered.  A term whose
         numerator coordinate is dropped contributes zero and goes."""
         new_of = -np.ones(keep.size, dtype=np.int64)
@@ -194,7 +170,7 @@ class _Terms:
         entry = stay[self.term] & keep[self.idx]
         numer = self.numer[stay]
         numer[numer >= 0] = new_of[numer[numer >= 0]]
-        return _Terms(
+        return Terms(
             numer,
             self.numer_const[stay],
             new_of[self.idx[entry]],
@@ -231,8 +207,7 @@ class _Newton:
     are each one ``bincount`` over precomputed entry pairs.
     """
 
-    def __init__(self, a: np.ndarray, terms: _Terms):
-        self.a = a
+    def __init__(self, a: sp.csc_array, terms: Terms):
         self.terms = terms
         self.m, self.n = a.shape
         self.k = k = terms.size
@@ -240,8 +215,10 @@ class _Newton:
         # S: a 1 at each variable numerator, then the denominator entries.
         self.s_row = np.concatenate([terms.numer[self.var], terms.idx])
         self.s_col = np.concatenate([np.where(self.var)[0], terms.term])
-        self.a_row, self.a_col = np.nonzero(a)
-        self.a_val = a[self.a_row, self.a_col]
+        # CSC order: columns increasing, rows increasing within a column.
+        coo = a.tocoo()
+        self.a_row, self.a_col = coo.row.astype(np.int64), coo.col.astype(np.int64)
+        self.a_val = coo.data
         p, q = _pairs(self.a_col, self.a_col, self.n)
         self.aa = (self.a_row[p] * self.m + self.a_row[q], self.a_val[p] * self.a_val[q],
                    self.a_col[p])
@@ -333,7 +310,7 @@ def _inverse(mat: np.ndarray):
         return lambda x: v @ ((v.T @ x).T / w).T
 
 
-def _phase_one(a: np.ndarray, b: np.ndarray):
+def _phase_one(a: sp.csc_array, b: np.ndarray):
     """Maximize the minimum coordinate over {A z = b, z >= 0}.
 
     Returns (z, delta) or None when the polytope is empty.
@@ -341,7 +318,7 @@ def _phase_one(a: np.ndarray, b: np.ndarray):
     m, n = a.shape
     c = np.zeros(n + 1)
     c[-1] = -1.0
-    a_eq = np.hstack([a, np.zeros((m, 1))])
+    a_eq = sp.hstack([a, sp.csc_array((m, 1))], format="csc")
     a_ub = sp.hstack([-sp.eye(n), sp.csc_matrix(np.ones((n, 1)))], format="csc")
     res = linprog(
         c,
@@ -359,7 +336,7 @@ def _phase_one(a: np.ndarray, b: np.ndarray):
     return res.x[:n], float(res.x[-1])
 
 
-def _max_coordinate(a: np.ndarray, b: np.ndarray, i: int) -> float:
+def _max_coordinate(a: sp.csc_array, b: np.ndarray, i: int) -> float:
     n = a.shape[1]
     c = np.zeros(n)
     c[i] = -1.0
@@ -371,10 +348,12 @@ def _max_coordinate(a: np.ndarray, b: np.ndarray, i: int) -> float:
     return float(-res.fun)
 
 
-def _independent_rows(a: np.ndarray) -> np.ndarray:
+def _independent_rows(a: sp.csc_array) -> np.ndarray:
+    """A maximal set of linearly independent rows, in increasing order, by
+    a pivoted QR of the dense transpose (the solver's only dense copy)."""
     if a.shape[0] == 0 or a.shape[1] == 0:
         return np.zeros(0, dtype=np.int64)
-    _, r, piv = qr(a.T, mode="economic", pivoting=True)
+    _, r, piv = qr(a.T.toarray(), mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     if diag.size == 0 or diag[0] <= 0.0:
         return np.zeros(0, dtype=np.int64)
@@ -430,7 +409,7 @@ def _center(newton: _Newton, b, z, t, inner_tol, s):
     return z, iters, mu / z
 
 
-def _freeze_mask(terms: _Terms, keep: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _freeze_mask(terms: Terms, keep: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Make a tentative freeze set consistent with the objective: whenever a
     term's denominator support would vanish while its numerator survives,
     revive the largest denominator coordinate instead."""
@@ -451,15 +430,15 @@ def solve(
 ) -> EntropicSolution:
     n = prog.n_vars
     active = np.ones(n, dtype=bool)
-    terms = _Terms.of(prog.terms)
-    a_full = np.asarray(prog.a_eq, dtype=np.float64)
+    terms = prog.terms
+    a_full = prog.a_eq
     b = np.asarray(prog.b_eq, dtype=np.float64)
 
     z_start = None
     if z0 is not None:
         z_start = np.asarray(z0, dtype=np.float64).copy()
         if np.any(z_start <= 0.0) or (
-            a_full.size and np.max(np.abs(a_full @ z_start - b)) > 1e-8
+            b.size and np.max(np.abs(a_full @ z_start - b)) > 1e-8
         ):
             z_start = None
 

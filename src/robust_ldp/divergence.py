@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import _entropic
-from ._entropic import Affine, Term
 from .chain_core import MASS_ZERO, Dist, Kernel, MetricSpace
 from .transport import BALL_ATOL, TransportPlan, w1
 
@@ -165,22 +165,28 @@ def beta(space: MetricSpace, nu: Dist, mu: Dist, model: DivergenceModel) -> Dive
     gid = np.arange(ni * nj).reshape(ni, nj)
     slack = ni * nj
 
-    a = np.zeros((ni + 1, nv))
-    b = np.zeros(ni + 1)
-    for ii, i in enumerate(rows):
-        a[ii, gid[ii]] = 1.0
-        b[ii] = mu.p[i]
+    # Rows: each source's couplings sum to its mass, then the cost budget
+    # over the couplings and the slack, without its zero costs.
     dsub = space.dist[np.ix_(rows, cols)]
-    a[ni, : ni * nj] = dsub.ravel()
-    a[ni, slack] = 1.0
-    b[ni] = r
+    budget = np.append(dsub.ravel(), 1.0)
+    on = np.flatnonzero(budget)
+    row = np.append(np.repeat(np.arange(ni), nj), np.full(on.size, ni))
+    col = np.append(gid.ravel(), on)
+    a = sp.csc_array((np.append(np.ones(ni * nj), budget[on]), (row, col)), shape=(ni + 1, nv))
+    b = np.append(mu.p[rows], r)
 
-    terms = []
-    const = 0.0
-    for jj, j in enumerate(cols):
-        if nu.p[j] > MASS_ZERO:
-            terms.append(Term(Affine(gid[:, jj], np.ones(ni)), numer_const=float(nu.p[j])))
-            const += float(nu.p[j] * math.log(nu.p[j]))
+    # One term nu[j] ln(nu[j] / sum_i gamma[i, j]) per target j that nu visits.
+    seen = np.flatnonzero(nu.p[cols] > MASS_ZERO)
+    mass = nu.p[cols[seen]]
+    terms = _entropic.Terms(
+        np.full(seen.size, -1),
+        mass,
+        gid[:, seen].T.ravel(),
+        np.ones(seen.size * ni),
+        np.repeat(np.arange(seen.size), ni),
+        np.zeros(seen.size),
+    )
+    const = sum(m * math.log(m) for m in mass)
 
     spread = float(mu.p[rows] @ dsub.mean(axis=1))
     g0, cost = coupling_start(mu.p, rows, cols, dsub, r, spread)

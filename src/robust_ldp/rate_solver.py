@@ -13,8 +13,11 @@ scaled variables
 with objective ``sum tau ln(tau / sigma)``, which is jointly convex.  The
 tail-rate variant additionally frees ``nu`` inside a Wasserstein ball via
 one more coupling.  The variable layout is ``set_chain.InvariantPolytope``,
-which also builds the law-of-large-numbers LPs.  Zero rates are detected
-exactly by a feasibility LP before any barrier iteration runs.
+which also builds the objective's terms and the rows of the zero-rate LP.
+Zero rates are detected exactly before any barrier iteration runs: from
+the nominal kernel first (the fixed law is invariant, or the stationary
+law passes ``ball_membership``), and by a feasibility LP only when that
+fails.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _entropic
-from ._entropic import Term
 from .chain_core import MASS_ZERO, BallSet, ChainSpec, Dist, Kernel
 from .divergence import DivergenceModel, Variant, rel_entropy, resolve_model
 from .set_chain import NU_MASS_TOL, InvariantPolytope, stationary
@@ -134,9 +136,7 @@ def _solve_rate(
     if zero is not None:
         return zero
 
-    a_eq, b_eq = poly.equalities()
-    terms = [Term(poly.sigma(x, y), numer_var=int(poly.tau_ids[x, y])) for x, y in poly.taus()]
-    prog = _entropic.EntropicProgram(poly.count, a_eq.toarray(), b_eq, terms)
+    prog = _entropic.EntropicProgram(poly.count, *poly.equalities(), poly.terms())
     sol = _entropic.solve(prog, z0=poly.start())
     if not sol.feasible or sol.status == "degenerate":
         if fixed_nu is not None:

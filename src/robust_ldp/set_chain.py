@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from . import transport
-from ._entropic import Affine
+from ._entropic import Terms
 from .chain_core import MASS_ZERO, BallSet, ChainSpec, Dist, Kernel
 from .divergence import DivergenceModel, Variant, coupling_start, resolve_model
 
@@ -328,19 +328,25 @@ class InvariantPolytope:
         a = sp.csc_array((val[keep], (row[keep], col[keep])), shape=(count, self.count))
         return a, np.concatenate(rhs)
 
-    def sigma(self, x: int, y: int) -> Affine | None:
-        """The worst-case row mass sigma[x, y] as an affine expression, or
-        None where it vanishes identically."""
+    def terms(self) -> Terms:
+        """The objective ``sum tau ln(tau / sigma)``: one term per tau
+        variable, in numbering order, over the worst-case row mass
+        sigma[x, y].  That is the couplings gamma^x[:, y] for r > 0, and
+        p(x, y) nu[x] at r = 0, a constant for a fixed law; it vanishes
+        where p(x, y) does."""
+        tx, ty = self.taus().T
+        numer = self.tau_ids[tx, ty]
+        zero = np.zeros(numer.size)
         if self.r > 0.0:
-            col = self.gam_ids[x, :, y]
-            col = col[col >= 0]
-            return Affine(col, np.ones(col.size)) if col.size else None
-        p = float(self.spec.kernel.rows[x, y])
-        if p <= MASS_ZERO:
-            return None
+            gam = self.gam_ids[tx, :, ty]
+            term, i = np.nonzero(gam >= 0)
+            return Terms(numer, zero, gam[term, i], np.ones(term.size), term, zero)
+        p = np.where(self.live[tx, ty], self.spec.kernel.rows[tx, ty], 0.0)
         if self.nu_ids is None:
-            return Affine(np.zeros(0, dtype=np.int64), np.zeros(0), p * float(self.fixed[x]))
-        return Affine(self.nu_ids[x : x + 1], np.array([p]))
+            none = np.zeros(0, dtype=np.int64)
+            return Terms(numer, zero, none, np.zeros(0), none, p * self.fixed[tx])
+        term = np.flatnonzero(p)
+        return Terms(numer, zero, self.nu_ids[tx[term]], p[term], term, zero)
 
     def start(self) -> np.ndarray | None:
         """A strictly feasible point where one is known in closed form: with

@@ -246,8 +246,14 @@ def beta_chain_grid_two_state(space, levels, theta, kernel, model, step=1e-3):
     return total
 
 
-def _affine(expr, z):
-    return float(expr.coef @ z[expr.idx] + expr.const)
+def _term(terms, k, z):
+    """Numerator, denominator entries and denominator value of term k of an
+    ``_entropic.Terms``, read off its flat arrays."""
+    on = np.flatnonzero(terms.term == k)
+    idx, c = terms.idx[on], terms.coef[on]
+    v = float(c @ z[idx]) + float(terms.const[k])
+    u = z[terms.numer[k]] if terms.numer[k] >= 0 else float(terms.numer_const[k])
+    return u, idx, c, v
 
 
 def entropic_objective(terms, z):
@@ -255,9 +261,8 @@ def entropic_objective(terms, z):
     time: terms with a vanishing numerator contribute 0, a positive
     numerator over a vanishing denominator makes the sum +infinity."""
     total = 0.0
-    for t in terms:
-        v = _affine(t.denom, z)
-        u = z[t.numer_var] if t.numer_var is not None else t.numer_const
+    for k in range(terms.numer.size):
+        u, _, _, v = _term(terms, k, z)
         if u <= 0.0:
             continue
         if v <= 0.0:
@@ -271,24 +276,61 @@ def entropic_grad_hess(terms, z, n):
     term by term from the derivatives of ``u ln(u / v)``."""
     g = np.zeros(n)
     h = np.zeros((n, n))
-    for t in terms:
-        idx = t.denom.idx
-        c = t.denom.coef
-        v = _affine(t.denom, z)
-        if t.numer_var is not None:
-            i = t.numer_var
-            u = z[i]
+    for k in range(terms.numer.size):
+        u, idx, c, v = _term(terms, k, z)
+        if terms.numer[k] >= 0:
+            i = terms.numer[k]
             g[i] += math.log(u / v) + 1.0
             g[idx] -= (u / v) * c
             h[i, i] += 1.0 / u
             h[i, idx] -= c / v
             h[idx, i] -= c / v
-            h[np.ix_(idx, idx)] += (u / v**2) * np.outer(c, c)
         else:
-            p = t.numer_const
-            g[idx] -= (p / v) * c
-            h[np.ix_(idx, idx)] += (p / v**2) * np.outer(c, c)
+            g[idx] -= (u / v) * c
+        h[np.ix_(idx, idx)] += (u / v**2) * np.outer(c, c)
     return g, h
+
+
+def _sigma(poly, x, y):
+    """The worst-case row mass sigma[x, y] of a ``set_chain.InvariantPolytope``
+    as ``(idx, coef, const)``, meaning ``coef @ z[idx] + const``, or None
+    where it vanishes identically: the couplings gamma^x[:, y] for r > 0,
+    else p(x, y) nu[x], a constant for a fixed law."""
+    if poly.r > 0.0:
+        col = poly.gam_ids[x, :, y]
+        col = col[col >= 0]
+        return (col, np.ones(col.size), 0.0) if col.size else None
+    p = float(poly.spec.kernel.rows[x, y])
+    if p <= MASS_ZERO:
+        return None
+    if poly.nu_ids is None:
+        return np.zeros(0, dtype=np.int64), np.zeros(0), p * float(poly.fixed[x])
+    return poly.nu_ids[x : x + 1], np.array([p]), 0.0
+
+
+def polytope_terms_by_pairs(poly):
+    """The terms of ``sum tau ln(tau / sigma)`` over a polytope, one (x, y)
+    pair at a time in tau numbering order, as the arrays of
+    ``_entropic.Terms``: (numer, numer_const, idx, coef, term, const)."""
+    numer, idx, coef, term, const = [], [], [], [], []
+    for x, y in poly.taus():
+        sigma = _sigma(poly, x, y)
+        if sigma is None:
+            sigma = (np.zeros(0, dtype=np.int64), np.zeros(0), 0.0)
+        ids, c, k = sigma
+        term += [len(numer)] * ids.size
+        idx += list(ids)
+        coef += list(c)
+        numer.append(poly.tau_ids[x, y])
+        const.append(k)
+    return (
+        np.array(numer, dtype=np.int64),
+        np.zeros(len(numer)),
+        np.array(idx, dtype=np.int64),
+        np.array(coef, dtype=np.float64),
+        np.array(term, dtype=np.int64),
+        np.array(const, dtype=np.float64),
+    )
 
 
 def dense_polytope_rows(poly, ball_rows=False):
@@ -340,16 +382,16 @@ def dense_polytope_rows(poly, ball_rows=False):
     if ball_rows:
         for x in poly.states:
             for y in range(n):
-                tau, sigma = poly.tau_ids[x, y], poly.sigma(x, y)
+                tau, sigma = poly.tau_ids[x, y], _sigma(poly, x, y)
                 if tau < 0 and sigma is None:
                     continue
                 row = np.zeros(poly.count)
                 if tau >= 0:
                     row[tau] = 1.0
                 if sigma is not None:
-                    row[sigma.idx] -= sigma.coef
+                    row[sigma[0]] -= sigma[1]
                 rows.append(row)
-                rhs.append(0.0 if sigma is None else sigma.const)
+                rhs.append(0.0 if sigma is None else sigma[2])
     return np.array(rows), np.array(rhs)
 
 

@@ -9,6 +9,7 @@ KKT step must agree with the term-by-term dense oracle in
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import LinAlgError
 
 from robust_ldp import Dist, _entropic, beta, rate_at, tail_rate
@@ -78,7 +79,7 @@ def _dense_kkt(h, a, g, rp):
 @pytest.mark.parametrize("shape", list(SHAPES))
 def test_structured_step_matches_dense_assembly(recorded, example_spec, example_ball, shape):
     prog = _program(recorded, shape, example_spec, example_ball)
-    terms = _entropic._Terms.of(prog.terms)
+    terms = prog.terms
     shared = np.bincount(terms.idx, minlength=prog.n_vars).max() if terms.idx.size else 0
     if shape == "r>0":
         assert shared == 1 and np.all(terms.numer >= 0)
@@ -106,7 +107,7 @@ def test_structured_step_matches_dense_assembly(recorded, example_spec, example_
         )
         _assert_close(newton.linearize(z, t), g)
         _assert_close(newton.hess_mul(x), h @ x)
-        _assert_close(newton.step(g, rp), _dense_kkt(h, a, g, rp))
+        _assert_close(newton.step(g, rp), _dense_kkt(h, a.toarray(), g, rp))
 
 
 def test_least_squares_fallback_matches_dense_kkt(
@@ -114,7 +115,7 @@ def test_least_squares_fallback_matches_dense_kkt(
 ):
     prog = _program(recorded, "r>0", example_spec, example_ball)
     a = prog.a_eq[_entropic._independent_rows(prog.a_eq)]
-    newton = _entropic._Newton(a, _entropic._Terms.of(prog.terms))
+    newton = _entropic._Newton(a, prog.terms)
     rng = np.random.default_rng(5)
     z = rng.uniform(0.05, 1.0, prog.n_vars)
     rp = 1e-3 * rng.standard_normal(a.shape[0])
@@ -126,7 +127,7 @@ def test_least_squares_fallback_matches_dense_kkt(
         raise LinAlgError("not positive definite")
 
     monkeypatch.setattr(_entropic, "cho_factor", refuse)
-    _assert_close(newton.step(g, rp), _dense_kkt(h, a, g, rp))
+    _assert_close(newton.step(g, rp), _dense_kkt(h, a.toarray(), g, rp))
 
 
 def test_schur_fallback_matches_dense_kkt(recorded, example_spec, example_ball, monkeypatch):
@@ -134,7 +135,7 @@ def test_schur_fallback_matches_dense_kkt(recorded, example_spec, example_ball, 
     # Cholesky factor and the Schur solve goes through the eigendecomposition.
     prog = _program(recorded, "r>0", example_spec, example_ball)
     a = prog.a_eq[_entropic._independent_rows(prog.a_eq)]
-    newton = _entropic._Newton(a, _entropic._Terms.of(prog.terms))
+    newton = _entropic._Newton(a, prog.terms)
     assert newton.m != newton.k
     rng = np.random.default_rng(6)
     z = rng.uniform(0.05, 1.0, prog.n_vars)
@@ -152,13 +153,13 @@ def test_schur_fallback_matches_dense_kkt(recorded, example_spec, example_ball, 
         return real(mat)
 
     monkeypatch.setattr(_entropic, "cho_factor", refuse_schur)
-    _assert_close(newton.step(g, rp), _dense_kkt(h, a, g, rp))
+    _assert_close(newton.step(g, rp), _dense_kkt(h, a.toarray(), g, rp))
     assert refused
 
 
 def test_freeze_keeps_denominators_and_restrict_renumbers(recorded, example_spec, example_ball):
     prog = _program(recorded, "r>0", example_spec, example_ball)
-    terms = _entropic._Terms.of(prog.terms)
+    terms = prog.terms
     rng = np.random.default_rng(2)
     z = rng.uniform(0.05, 1.0, prog.n_vars)
     tentative = rng.uniform(size=prog.n_vars) < 0.5
@@ -184,7 +185,7 @@ def test_centering_never_raises_the_equality_residual(
     rows = _entropic._independent_rows(prog.a_eq)
     a, b = prog.a_eq[rows], prog.b_eq[rows]
     z0, _ = _entropic._phase_one(a, b)
-    newton = _entropic._Newton(a, _entropic._Terms.of(prog.terms))
+    newton = _entropic._Newton(a, prog.terms)
     rng = np.random.default_rng(0)
     exact = _entropic._Newton.step
 
@@ -198,7 +199,9 @@ def test_centering_never_raises_the_equality_residual(
 
 
 def test_program_without_terms_reaches_the_analytic_center():
-    prog = _entropic.EntropicProgram(3, np.array([[1.0, 1.0, 1.0]]), np.array([1.0]), [])
+    none = np.zeros(0, dtype=np.int64)
+    terms = _entropic.Terms(none, np.zeros(0), none, np.zeros(0), none, np.zeros(0))
+    prog = _entropic.EntropicProgram(3, sp.csc_array(np.ones((1, 3))), np.array([1.0]), terms)
     sol = _entropic.solve(prog)
     assert sol.converged and sol.value == 0.0
     np.testing.assert_allclose(sol.z, np.full(3, 1.0 / 3.0), atol=1e-9)

@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from oracles import (
     envelope_lp,
     fixed_nu_feasible_discrete,
     functional_bound_lp,
+    polytope_terms_by_pairs,
 )
 
 
@@ -207,15 +209,20 @@ def test_extremes_attained_by_feasible_laws(example_spec):
 
 def test_sparse_rows_match_dense_oracle():
     """The sparse rows equal the row-by-row dense builder exactly, in the
-    same order, with no zero stored, on every polytope shape: both metrics,
-    plain and AC, r = 0 and r > 0, with and without a target ball, free
-    and fixed law."""
+    same order, with no zero stored, and the term arrays equal the
+    pair-by-pair builder, on every polytope shape: both metrics, plain and
+    AC, r = 0 and r > 0, with and without a target ball, free and fixed
+    law."""
     for spec, ball, fixed in polytope_chains():
         for radius in (0.0, spec.radius):
             for restrict in (False, True):
                 for target in (None, ball):
                     for law in (None, fixed):
                         poly = InvariantPolytope(spec, restrict, radius, target, law)
+                        terms = astuple(poly.terms())
+                        for got, want in zip(terms, polytope_terms_by_pairs(poly), strict=True):
+                            assert got.dtype == want.dtype
+                            assert np.array_equal(got, want)
                         for ball_rows in (False, True):
                             a, b = poly.equalities(ball_rows=ball_rows)
                             dense, rhs = dense_polytope_rows(poly, ball_rows)
