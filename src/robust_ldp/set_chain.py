@@ -108,28 +108,13 @@ class ConditionReport:
 def stationary(kernel: Kernel) -> tuple[Dist, bool]:
     """An invariant distribution of the kernel, plus a uniqueness flag.
 
-    Uniqueness is decided by the nullity of ``P^T - I`` with singular
-    values thresholded at 1e-10.  When the invariant set is not a single
-    point, a deterministic LP vertex is returned.
+    The invariant law is unique iff the kernel has exactly one closed
+    class; otherwise the law of the closed class with the lowest first
+    state is returned.
     """
-    p = kernel.rows
     n = kernel.n
-    a = np.vstack([p.T - np.eye(n), np.ones((1, n))])
-    b = np.zeros(n + 1)
-    b[-1] = 1.0
-    sv = np.linalg.svd(p.T - np.eye(n), compute_uv=False)
-    unique = int(np.sum(sv < 1e-10)) == 1
-    sol = np.linalg.lstsq(a, b, rcond=None)[0]
-    if not unique or sol.min() < -1e-10 or np.max(np.abs(a @ sol - b)) > 1e-9:
-        res = linprog(np.zeros(n), A_eq=a, b_eq=b, bounds=(0, None), method="highs")
-        if res.status != 0:  # pragma: no cover - finite chains always have one
-            raise RuntimeError(f"stationary LP failed: {res.message}")
-        # Polish the vertex on its support for a crisp invariance residual.
-        supp = res.x > 1e-12
-        sol = np.zeros(n)
-        sol[supp] = np.linalg.lstsq(a[:, supp], b, rcond=None)[0]
-    sol = np.clip(sol, 0.0, None)
-    return Dist(sol / sol.sum()), unique
+    _, laws, home = _best_class(kernel.rows[None], np.zeros((n, 1)))
+    return Dist(laws[0]), int(np.sum(home[0] == np.arange(n))) == 1
 
 
 def check_conditions(spec: ChainSpec, max_exponent: int | None = None) -> ConditionReport:

@@ -53,9 +53,21 @@ def test_stationary_example(example_spec):
 
 
 def test_stationary_identity_not_unique():
-    dist, unique = stationary(Kernel(np.eye(3)))
-    assert not unique
-    assert np.max(np.abs(dist.p @ np.eye(3) - dist.p)) <= 1e-10
+    # The identity, and a chain with a transient first state and the closed
+    # classes {1, 2} and {3}: the law of the class with the lowest first
+    # state comes back.
+    reducible = [
+        [0.2, 0.3, 0.3, 0.2],
+        [0.0, 0.5, 0.5, 0.0],
+        [0.0, 0.4, 0.6, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+    ]
+    for rows, law in ((np.eye(3), [1.0, 0.0, 0.0]), (reducible, [0.0, 4 / 9, 5 / 9, 0.0])):
+        kernel = Kernel.from_matrix(rows)
+        dist, unique = stationary(kernel)
+        assert not unique
+        assert np.max(np.abs(dist.p @ kernel.rows - dist.p)) <= 1e-10
+        assert np.max(np.abs(dist.p - law)) <= 1e-12
 
 
 def test_stationary_flip_chain():
