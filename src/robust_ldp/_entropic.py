@@ -425,9 +425,7 @@ def _freeze_mask(terms: Terms, keep: np.ndarray, z: np.ndarray) -> np.ndarray:
                 keep[ids[np.argmax(z[ids])]] = True
 
 
-def solve(
-    prog: EntropicProgram, z0: np.ndarray | None = None, gap_tol: float = GAP_TOL
-) -> EntropicSolution:
+def solve(prog: EntropicProgram, z0: np.ndarray | None = None) -> EntropicSolution:
     n = prog.n_vars
     active = np.ones(n, dtype=bool)
     terms = prog.terms
@@ -504,7 +502,7 @@ def solve(
         inner_tol = LOOSE_INNER_TOL if gap > SAFE_GAP else INNER_TOL
         z, it, s = _center(newton, b_w, z, t_bar, inner_tol, s)
         total_iters += it
-        if gap <= gap_tol or t_bar >= 1e16:
+        if gap <= GAP_TOL or t_bar >= 1e16:
             break
         if snapshot is None and gap <= SAFE_GAP:
             snapshot = (z, s, t_bar, newton, b_w)
@@ -539,7 +537,7 @@ def solve(
         snap_value = newton.terms.objective(z_snap)
         if not math.isfinite(value) or value > snap_value + 1e-4 or primal > 1e-8:
             z, t_bar = z_snap, t_snap
-            while nb0 / t_bar > gap_tol and t_bar < 1e16:
+            while nb0 / t_bar > GAP_TOL and t_bar < 1e16:
                 t_bar *= 10.0
                 z, it, s = _center(newton, b_w, z, t_bar, INNER_TOL, s)
                 total_iters += it
@@ -552,7 +550,7 @@ def solve(
     z_full = np.zeros(n)
     z_full[np.where(active)[0]] = z_local
     kkt = max(gap, primal)
-    converged = kkt <= max(CONVERGED_KKT, gap_tol * 1.01)
+    converged = kkt <= CONVERGED_KKT
     status = "optimal" if converged else "max_iterations"
     return EntropicSolution(
         z_full, value + prog.constant, kkt, converged, status, total_iters, primal

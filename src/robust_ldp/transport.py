@@ -28,9 +28,6 @@ from scipy.optimize import linprog
 
 from .chain_core import BallSet, Dist, MetricSpace
 
-# Primal-dual agreement required from a solved instance.
-GAP_TOL = 1e-9
-
 # Closed-ball membership slack for float-boundary cases.
 BALL_ATOL = 1e-10
 
