@@ -163,7 +163,6 @@ def beta(space: MetricSpace, nu: Dist, mu: Dist, model: DivergenceModel) -> Dive
     ni, nj = rows.size, cols.size
     nv = ni * nj + 1  # couplings plus cost slack
     gid = np.arange(ni * nj).reshape(ni, nj)
-    slack = ni * nj
 
     # Rows: each source's couplings sum to its mass, then the cost budget
     # over the couplings and the slack, without its zero costs.

@@ -316,9 +316,9 @@ class InvariantPolytope:
     def terms(self) -> Terms:
         """The objective ``sum tau ln(tau / sigma)``: one term per tau
         variable, in numbering order, over the worst-case row mass
-        sigma[x, y].  That is the couplings gamma^x[:, y] for r > 0, and
-        p(x, y) nu[x] at r = 0, a constant for a fixed law; it vanishes
-        where p(x, y) does."""
+        sigma[x, y].  That is the couplings gamma^x[:, y] for r > 0; at
+        r = 0 it is p(x, y) nu[x], a constant for a fixed law, and zero
+        where p(x, y) is."""
         tx, ty = self.taus().T
         numer = self.tau_ids[tx, ty]
         zero = np.zeros(numer.size)
