@@ -38,20 +38,15 @@ vectorised sum over the entry pairs of the CSC triplets of A and the
 terms' entries, fixed per working problem; nothing of size
 n_vars x n_vars is ever built.
 
-The solve proceeds in three stages:
+The solve proceeds in two stages:
 
 1. coordinates that vanish on the whole feasible set are eliminated
    (detected by LP probes) and a strictly feasible start is found, unless
    the caller passes one;
-2. the central path is followed, loosely centred while the duality gap is
-   above the level where boundary-bound coordinates separate cleanly and
-   tightly from there on;
-3. those coordinates are frozen at zero and the path continues on the
-   interior face, where the barrier Hessian stays bounded and the target
-   gap is reachable at full accuracy.  When the face continuation fails,
-   the path continues instead from a pre-freeze snapshot on the unfrozen
-   problem, and the snapshot itself is the answer only when that fails
-   too.
+2. the central path of that working problem is followed to the target
+   gap, loosely centred while the duality gap is above SAFE_GAP and
+   tightly from there on.  No coordinate is fixed at zero: one that the
+   optimum puts at zero stays small but positive.
 
 Infeasibility and forced +infinity values are returned as exact results,
 never as large floats.
@@ -72,11 +67,10 @@ from ._lapack import cho_factor, cho_solve
 GAP_TOL = 1e-9
 CONVERGED_KKT = 1e-8
 FORCED_ZERO_TOL = 1e-10
-SAFE_GAP = 3e-7  # gap at which boundary coordinates separate cleanly
-FACE_TOL = 1e-6  # coordinates below this after the cautious stage are frozen
+SAFE_GAP = 3e-7  # gap below which each stage is centred tightly, not loosely
 MAX_NEWTON = 80
 # Newton decrement at which a stage counts as centred: loosely while the
-# gap is above SAFE_GAP, tightly from the stage that decides the face on.
+# gap is above SAFE_GAP, tightly from there on.
 LOOSE_INNER_TOL = 1e-2
 INNER_TOL = 1e-10
 # Eigenvalues below this share of the largest are dropped when a small
@@ -409,22 +403,6 @@ def _center(newton: _Newton, b, z, t, inner_tol, s):
     return z, iters, mu / z
 
 
-def _freeze_mask(terms: Terms, keep: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Make a tentative freeze set consistent with the objective: whenever a
-    term's denominator support would vanish while its numerator survives,
-    revive the largest denominator coordinate instead."""
-    keep = keep.copy()
-    has_idx = np.bincount(terms.term, minlength=terms.size) > 0
-    while True:
-        dead = terms.numerator_alive(keep) & ~terms.denominator_alive(keep) & has_idx
-        if not dead.any():
-            return keep
-        for k in np.where(dead)[0]:
-            ids = terms.idx[terms.term == k]
-            if not keep[ids].any():
-                keep[ids[np.argmax(z[ids])]] = True
-
-
 def solve(prog: EntropicProgram, z0: np.ndarray | None = None) -> EntropicSolution:
     n = prog.n_vars
     active = np.ones(n, dtype=bool)
@@ -483,8 +461,6 @@ def solve(prog: EntropicProgram, z0: np.ndarray | None = None) -> EntropicSoluti
     # Working problem over the surviving coordinates.
     terms_w = terms.restrict(active)
     a_act = a_full[:, active]
-    nb0 = int(active.sum())
-    live = np.ones(nb0, dtype=bool)  # coordinates still on the central path
     kept = _independent_rows(a_act)
     b_w = b[kept]
     newton = _Newton(a_act[kept], terms_w)
@@ -493,9 +469,6 @@ def solve(prog: EntropicProgram, z0: np.ndarray | None = None) -> EntropicSoluti
     t_bar = 1.0
     s = 1.0 / (t_bar * z)
     total_iters = 0
-    # Pre-freeze fallback: the point, multipliers and t of the stage that
-    # decides the face, with the unfrozen problem it solves.
-    snapshot = None
 
     while z.size:
         gap = z.size / t_bar
@@ -504,51 +477,14 @@ def solve(prog: EntropicProgram, z0: np.ndarray | None = None) -> EntropicSoluti
         total_iters += it
         if gap <= GAP_TOL or t_bar >= 1e16:
             break
-        if snapshot is None and gap <= SAFE_GAP:
-            snapshot = (z, s, t_bar, newton, b_w)
-        if snapshot is not None:
-            tentative = z >= FACE_TOL
-            if not tentative.all() and tentative.any():
-                keep = _freeze_mask(terms_w, tentative, z)
-                if not keep.all():
-                    terms_w = terms_w.restrict(keep)
-                    live[np.where(live)[0][~keep]] = False
-                    z, s = z[keep], s[keep]
-                    kept = _independent_rows(a_act[:, live])
-                    b_w = b[kept]
-                    newton = _Newton(a_act[:, live][kept], terms_w)
         t_bar *= 10.0
 
-    def residual(z_local: np.ndarray) -> float:
-        return float(np.max(np.abs(a_act @ z_local - b))) if b.size else 0.0
-
-    z_local = np.zeros(nb0)
-    z_local[live] = z
     value = terms_w.objective(z)
     gap = z.size / t_bar if z.size else 0.0
-    primal = residual(z_local)
-
-    if not live.all() and snapshot is not None:
-        # The face continuation must beat the cautious stage; otherwise the
-        # face was misidentified, and the path continues from the snapshot
-        # on the unfrozen problem.  The snapshot is the answer only when
-        # that fails too.
-        z_snap, s, t_snap, newton, b_w = snapshot
-        snap_value = newton.terms.objective(z_snap)
-        if not math.isfinite(value) or value > snap_value + 1e-4 or primal > 1e-8:
-            z, t_bar = z_snap, t_snap
-            while nb0 / t_bar > GAP_TOL and t_bar < 1e16:
-                t_bar *= 10.0
-                z, it, s = _center(newton, b_w, z, t_bar, INNER_TOL, s)
-                total_iters += it
-            value, primal = newton.terms.objective(z), residual(z)
-            if not math.isfinite(value) or primal > 1e-8:
-                z, t_bar, value = z_snap, t_snap, snap_value
-                primal = residual(z)
-            z_local, gap = z, nb0 / t_bar
+    primal = float(np.max(np.abs(a_act @ z - b))) if b.size else 0.0
 
     z_full = np.zeros(n)
-    z_full[np.where(active)[0]] = z_local
+    z_full[np.where(active)[0]] = z
     kkt = max(gap, primal)
     converged = kkt <= CONVERGED_KKT
     status = "optimal" if converged else "max_iterations"

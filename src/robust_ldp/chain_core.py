@@ -177,9 +177,6 @@ class Kernel:
         rows = k.rows / k.rows.sum(axis=1, keepdims=True)
         return cls(rows)
 
-    def row(self, x: int) -> Dist:
-        return Dist(self.rows[x])
-
 
 @dataclass(frozen=True)
 class ChainSpec:

@@ -33,7 +33,7 @@ from .divergence import MODEL_NAMES, Variant
 from .montecarlo import RateEstimate, SimPlan, compare_rates, resolve_threads, simulate_paths
 from .rate_solver import RateReport, Residuals, sharpness_check, tail_rate
 from .set_chain import ConditionReport, Envelope, check_conditions, envelope, robust_functional_bound
-from .transport import w1
+from .transport import dual_value, w1
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -426,7 +426,7 @@ def cmd_wasserstein(args) -> int:
     mu = parse_dist(args.mu, spec.space, "--mu")
     nu = parse_dist(args.nu, spec.space, "--nu")
     value, plan, potential = w1(spec.space, mu, nu)
-    dual = float(potential.f @ (mu.p - nu.p))
+    dual = dual_value(potential, mu, nu)
     _emit(
         {
             "schema_version": SCHEMA_VERSION,

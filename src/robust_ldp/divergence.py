@@ -107,10 +107,6 @@ def rel_entropy(nu: Dist, mu: Dist) -> float:
     return total
 
 
-def _diag_plan(space: MetricSpace, mu: Dist) -> TransportPlan:
-    return TransportPlan(np.diag(mu.p), 0.0)
-
-
 def coupling_start(
     mass: np.ndarray, rows: np.ndarray, cols: np.ndarray, dsub: np.ndarray, r: float, spread: float
 ) -> tuple[np.ndarray, float]:
@@ -153,7 +149,7 @@ def beta(space: MetricSpace, nu: Dist, mu: Dist, model: DivergenceModel) -> Dive
     if model.restrict_support and not np.all(nu.support() <= mu.support()):
         return _INFEASIBLE
     if r == 0.0:
-        return DivergenceResult(rel_entropy(nu, mu), mu, _diag_plan(space, mu), 0.0)
+        return DivergenceResult(rel_entropy(nu, mu), mu, TransportPlan(np.diag(mu.p), 0.0), 0.0)
     dist_mn, plan_mn, _ = w1(space, mu, nu)
     if dist_mn <= r:
         return DivergenceResult(0.0, nu, plan_mn, 0.0)

@@ -157,16 +157,19 @@ def test_schur_fallback_matches_dense_kkt(recorded, example_spec, example_ball, 
     assert refused
 
 
-def test_freeze_keeps_denominators_and_restrict_renumbers(recorded, example_spec, example_ball):
+def test_restrict_renumbers_and_keeps_the_objective(recorded, example_spec, example_ball):
     prog = _program(recorded, "r>0", example_spec, example_ball)
     terms = prog.terms
     rng = np.random.default_rng(2)
     z = rng.uniform(0.05, 1.0, prog.n_vars)
-    tentative = rng.uniform(size=prog.n_vars) < 0.5
-    keep = _entropic._freeze_mask(terms, tentative, z)
-    assert np.all(keep[tentative]) and keep.sum() > tentative.sum()
+    # Drop a random half of the numerator coordinates and no denominator
+    # coordinate, so every kept term keeps its denominator.
+    numer = np.setdiff1d(terms.numer[terms.numer >= 0], terms.idx)
+    keep = np.ones(prog.n_vars, dtype=bool)
+    keep[rng.choice(numer, size=numer.size // 2, replace=False)] = False
+    assert not keep.all()
     assert np.all(terms.denominator_alive(keep) | ~terms.numerator_alive(keep))
-    # Frozen coordinates sit at zero, so restricting the terms to the kept
+    # Dropped coordinates sit at zero, so restricting the terms to the kept
     # ones leaves the objective unchanged.
     z[~keep] = 0.0
     restricted = terms.restrict(keep)

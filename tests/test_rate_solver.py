@@ -30,10 +30,13 @@ from conftest import certificate_corpus, random_simplex, three_state_corpus, two
 from oracles import kl_full, rate_two_state_grid
 
 
-# Two chains of the benchmark corpus (``bench/corpus.py`` ``rate_items``)
-# whose tail-rate solves froze an infeasible face after the cautious
-# stage and ended ``max_iterations``: the discrete ``rate_items(19, 3)[5]``
-# and the Euclidean ``rate_items(15, 4)[1]``, both with r = 0.05.
+# Three chains of the benchmark corpus (``bench/corpus.py`` ``rate_items``),
+# all with r = 0.05, on which an earlier solver fixed the coordinates below
+# 1e-6 at zero after the cautious stage.  On the discrete
+# ``rate_items(19, 3)[5]`` and the Euclidean ``rate_items(15, 4)[1]`` that
+# face was infeasible and the solves ended ``max_iterations``.  On the
+# Euclidean ``rate_items(18, 1)[4]`` the face solve claimed convergence at
+# 1.4274732769, 1.8e-6 above the optimum that the central path reaches.
 FROZEN_FACE_DISCRETE_KERNEL = [
     [0.13213303344972388, 0.07754561382254435, 0.1723403631005177,
      0.06738551983942531, 0.2751001411973782, 0.2754953285904106],
@@ -75,6 +78,34 @@ FROZEN_FACE_EUCLID_METRIC = [
      0.4830533624737298, 0.0, 0.05],
     [0.6433025444162663, 0.957044387838857, 0.6117147086024244,
      0.4704641562390277, 0.05, 0.0],
+]
+HIGH_FACE_EUCLID_KERNEL = [
+    [0.14796573656292938, 0.152648282665338, 0.11758164501446418,
+     0.1847568580295791, 0.2082427890212026, 0.18880468870648673],
+    [0.2571060292554388, 0.032118776276730945, 0.5550987333256189,
+     0.05552911272982691, 0.04423405883113303, 0.055913289581251524],
+    [0.04157694438548478, 0.2196567833901894, 0.11976490156853127,
+     0.0641958608849002, 0.5045178689012932, 0.050287640869601205],
+    [0.36154106462962354, 0.04114225699963739, 0.15552298619838612,
+     0.0475692535032614, 0.33250170453100514, 0.06172273413808653],
+    [0.1603885089193926, 0.3029793542069233, 0.11584070970880346,
+     0.3651044184616119, 0.03247671477449716, 0.023210293928771608],
+    [0.22631430959586785, 0.3200765823910169, 0.24355606956136291,
+     0.060755465216740925, 0.03748082281157911, 0.11181675042343238],
+]
+HIGH_FACE_EUCLID_METRIC = [
+    [0.0, 0.7787397376555746, 0.17631263487647836,
+     0.7925373737567507, 0.32084292833239086, 0.170029473677509],
+    [0.7787397376555746, 0.0, 0.7187997267299424,
+     1.0, 0.9065468416206017, 0.613715625084911],
+    [0.17631263487647836, 0.7187997267299424, 0.0,
+     0.6240615373057834, 0.21504469334050727, 0.15070961299451605],
+    [0.7925373737567507, 1.0, 0.6240615373057834,
+     0.0, 0.5160564961657867, 0.741920910588786],
+    [0.32084292833239086, 0.9065468416206017, 0.21504469334050727,
+     0.5160564961657867, 0.0, 0.36484985210640597],
+    [0.170029473677509, 0.613715625084911, 0.15070961299451605,
+     0.741920910588786, 0.36484985210640597, 0.0],
 ]
 
 
@@ -202,8 +233,9 @@ def test_transient_state_chain_never_claims_a_wrong_rate():
     [
         (FROZEN_FACE_DISCRETE_KERNEL, None, 2, 0.3, 0.8932927152),
         (FROZEN_FACE_EUCLID_KERNEL, FROZEN_FACE_EUCLID_METRIC, 0, 0.1, 0.3071012768),
+        (HIGH_FACE_EUCLID_KERNEL, HIGH_FACE_EUCLID_METRIC, 1, 0.1, 1.4274714789),
     ],
-    ids=["discrete", "euclid"],
+    ids=["discrete", "euclid", "euclid-high-face"],
 )
 def test_frozen_face_chains_converge(kernel, metric, center, kappa, expected):
     labels = [f"s{i}" for i in range(6)]
@@ -248,7 +280,9 @@ def test_euclidean_n12_solve_is_fast_and_converges():
                          text=True, check=True, timeout=120)
     result = json.loads(out.stdout)
     assert result["converged"]
-    assert result["value"] == pytest.approx(0.9439789, abs=1e-7)
+    # The optimum at a strictly feasible point: every visited row lies
+    # 1.5e-9 inside its ball, and the law 1.7e-11 inside the target ball.
+    assert result["value"] == pytest.approx(0.9439751, abs=1e-7)
     assert result["elapsed"] < 3.0
 
 
