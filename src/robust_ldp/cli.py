@@ -4,7 +4,9 @@ and plot-data emission.
 Chain files are UTF-8 JSON documents with keys "states", "metric" (an
 n-by-n matrix or the string "discrete"), "pi0", "kernel" and "r".  All
 reports are JSON with a "schema_version" field; infinities are encoded as
-the strings "inf"/"-inf" to stay within standard JSON.
+the strings "inf"/"-inf" to stay within standard JSON.  A report record is
+written field by field under the field's own name by ``report_to_dict`` and
+read back from its field types by ``parse_report``.
 
 Exit codes, stable for scripting: 0 success, 2 input error, 3 condition
 check negative, 4 solver non-convergence, 5 unusable estimate.
@@ -13,10 +15,12 @@ check negative, 4 solver non-convergence, 5 unusable estimate.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import re
 import sys
+import typing
 from datetime import datetime, timezone
 
 import numpy as np
@@ -29,9 +33,9 @@ from .chain_core import (
     MetricSpace,
     validate_chain,
 )
-from .divergence import MODEL_NAMES, Variant
+from .divergence import MODEL_NAMES
 from .montecarlo import RateEstimate, SimPlan, compare_rates, resolve_threads, simulate_paths
-from .rate_solver import RateReport, Residuals, sharpness_check, tail_rate
+from .rate_solver import RateReport, sharpness_check, tail_rate
 from .set_chain import ConditionReport, Envelope, check_conditions, envelope, robust_functional_bound
 from .transport import dual_value, w1
 
@@ -173,120 +177,66 @@ def _decode_float(value) -> float:
     return float(value)
 
 
-def rate_report_to_dict(report: RateReport) -> dict:
+REPORT_KINDS = {
+    RateReport: "rate_report",
+    Envelope: "envelope",
+    ConditionReport: "condition_report",
+    RateEstimate: "rate_estimate",
+}
+
+
+def _fields_of(record) -> dict:
+    """A record's fields under their own names: a Dist as its masses, a
+    Kernel as its rows, a nested record as an object."""
+    out = {}
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, Dist):
+            value = value.p
+        elif isinstance(value, Kernel):
+            value = value.rows
+        elif dataclasses.is_dataclass(value):
+            value = _fields_of(value)
+        out[f.name] = value
+    return out
+
+
+def report_to_dict(report) -> dict:
     return _encode({
         "schema_version": SCHEMA_VERSION,
-        "kind": "rate_report",
-        "value": report.value,
-        "nu_star": report.nu_star.p,
-        "q_star": report.q_star.rows,
-        "pi_hat": report.pi_hat.rows,
-        "residuals": {
-            "kkt": report.residuals.kkt,
-            "marginal": report.residuals.marginal,
-            "invariance": report.residuals.invariance,
-        },
-        "converged": report.converged,
+        "kind": REPORT_KINDS[type(report)],
+        **_fields_of(report),
     })
 
 
-def rate_report_from_dict(doc: dict) -> RateReport:
-    res = doc["residuals"]
-    return RateReport(
-        _decode_float(doc["value"]),
-        Dist(np.array(doc["nu_star"])),
-        Kernel(np.array(doc["q_star"])),
-        Kernel(np.array(doc["pi_hat"])),
-        Residuals(
-            _decode_float(res["kkt"]),
-            _decode_float(res["marginal"]),
-            _decode_float(res["invariance"]),
-        ),
-        bool(doc["converged"]),
-    )
+def _decode_value(tp, value):
+    args = typing.get_args(tp)
+    if type(None) in args:  # X | None
+        if value is None:
+            return None
+        (tp,) = (a for a in args if a is not type(None))
+    if tp is float:
+        return _decode_float(value)
+    if tp is np.ndarray:
+        return np.array(value)
+    if isinstance(value, dict):  # a nested record
+        return _decode_record(tp, value)
+    return tp(value)  # Dist, Kernel, bool, int, str
 
 
-def envelope_to_dict(env: Envelope) -> dict:
-    return _encode({
-        "schema_version": SCHEMA_VERSION,
-        "kind": "envelope",
-        "lo": env.lo,
-        "hi": env.hi,
-    })
-
-
-def envelope_from_dict(doc: dict) -> Envelope:
-    return Envelope(np.array(doc["lo"]), np.array(doc["hi"]))
-
-
-def condition_report_to_dict(report: ConditionReport) -> dict:
-    return _encode({
-        "schema_version": SCHEMA_VERSION,
-        "kind": "condition_report",
-        "m1_holds": report.m1_holds,
-        "l0": report.l0,
-        "n0": report.n0,
-        "m2_holds": report.m2_holds,
-        "invariant": report.invariant.p if report.invariant is not None else None,
-        "unique_invariant": report.unique_invariant,
-        "note": report.note,
-    })
-
-
-def condition_report_from_dict(doc: dict) -> ConditionReport:
-    inv = doc["invariant"]
-    return ConditionReport(
-        bool(doc["m1_holds"]),
-        doc["l0"],
-        doc["n0"],
-        bool(doc["m2_holds"]),
-        Dist(np.array(inv)) if inv is not None else None,
-        bool(doc["unique_invariant"]),
-        doc["note"],
-    )
-
-
-def rate_estimate_to_dict(est: RateEstimate) -> dict:
-    return _encode({
-        "schema_version": SCHEMA_VERSION,
-        "kind": "rate_estimate",
-        "lengths": est.lengths,
-        "hits": est.hits,
-        "p_hat": est.p_hat,
-        "slope": est.slope,
-        "stderr": est.stderr,
-        "usable_lengths": est.usable_lengths,
-        "fit_lengths": est.fit_lengths,
-        "usable": est.usable,
-        "status": est.status,
-    })
-
-
-def rate_estimate_from_dict(doc: dict) -> RateEstimate:
-    return RateEstimate(
-        np.array(doc["lengths"], dtype=np.int64),
-        np.array(doc["hits"], dtype=np.int64),
-        np.array(doc["p_hat"], dtype=np.float64),
-        None if doc["slope"] is None else _decode_float(doc["slope"]),
-        None if doc["stderr"] is None else _decode_float(doc["stderr"]),
-        np.array(doc["usable_lengths"], dtype=np.int64),
-        np.array(doc["fit_lengths"], dtype=np.int64),
-        bool(doc["usable"]),
-        doc["status"],
-    )
+def _decode_record(cls, doc: dict):
+    hints = typing.get_type_hints(cls)
+    return cls(**{f.name: _decode_value(hints[f.name], doc[f.name])
+                  for f in dataclasses.fields(cls)})
 
 
 def parse_report(doc: dict):
+    """The record a ``report_to_dict`` document describes."""
     kind = doc.get("kind")
-    builders = {
-        "rate_report": rate_report_from_dict,
-        "envelope": envelope_from_dict,
-        "condition_report": condition_report_from_dict,
-        "rate_estimate": rate_estimate_from_dict,
-    }
-    if kind not in builders:
-        raise InputError("$.kind", f"unknown report kind {kind!r}")
-    return builders[kind](doc)
+    for cls, tag in REPORT_KINDS.items():
+        if tag == kind:
+            return _decode_record(cls, doc)
+    raise InputError("$.kind", f"unknown report kind {kind!r}")
 
 
 def _emit(payload: dict, args, extra_file: str | None = None):
@@ -309,14 +259,11 @@ def write_plot_csv(path: str, estimate: RateEstimate):
         fh.write("\n".join(lines) + "\n")
 
 
-def _entropic_variant(name: str) -> Variant:
-    return MODEL_NAMES[name]
-
-
 def cmd_check(args) -> int:
     spec = load_chain_file(args.chain)
+    _need(args.max_exponent is None or args.max_exponent >= 1, "--max-exponent", "must be >= 1")
     report = check_conditions(spec, args.max_exponent)
-    _emit(condition_report_to_dict(report), args)
+    _emit(report_to_dict(report), args)
     return EXIT_OK if (report.m1_holds and report.m2_holds) else EXIT_CONDITION
 
 
@@ -333,8 +280,8 @@ def parse_ball(args, space: MetricSpace) -> BallSet:
 def cmd_rate(args) -> int:
     spec = load_chain_file(args.chain)
     ball = parse_ball(args, spec.space)
-    report = tail_rate(spec, ball, _entropic_variant(args.model))
-    payload = rate_report_to_dict(report)
+    report = tail_rate(spec, ball, MODEL_NAMES[args.model])
+    payload = report_to_dict(report)
     payload["nonvacuous"] = bool(report.value > 1e-6)
     payload["sharp"] = (
         sharpness_check(spec, report)
@@ -347,7 +294,7 @@ def cmd_rate(args) -> int:
 
 def cmd_envelope(args) -> int:
     spec = load_chain_file(args.chain)
-    variant = _entropic_variant(args.model)
+    variant = MODEL_NAMES[args.model]
     threads = parse_threads(args)
     if args.weights is not None:
         parts = args.weights.split(",")
@@ -370,7 +317,7 @@ def cmd_envelope(args) -> int:
         )
         return EXIT_OK
     env = envelope(spec, variant, threads=threads)
-    payload = envelope_to_dict(env)
+    payload = report_to_dict(env)
     payload["states"] = list(spec.space.labels)
     _emit(payload, args)
     return EXIT_OK
@@ -379,15 +326,15 @@ def cmd_envelope(args) -> int:
 def cmd_simulate(args) -> int:
     spec = load_chain_file(args.chain)
     ball = parse_ball(args, spec.space)
-    _finite(args.rel_tol, "--rel-tol")
+    _need(_finite(args.rel_tol, "--rel-tol") >= 0.0, "--rel-tol", "must be nonnegative")
     _need(args.paths >= 1, "--paths", "must be >= 1")
     _need(0 <= args.seed < 2**64, "--seed", "must be an unsigned 64-bit integer")
     threads = resolve_threads(parse_threads(args))
-    variant = _entropic_variant(args.model)
+    variant = MODEL_NAMES[args.model]
     if args.worst_case:
         solved = tail_rate(spec, ball, variant)
         if not solved.converged:
-            _emit(rate_report_to_dict(solved), args)
+            _emit(report_to_dict(solved), args)
             return EXIT_NO_CONVERGENCE
         play = solved.pi_hat
         analytic = solved.value
@@ -405,15 +352,8 @@ def cmd_simulate(args) -> int:
         "kind": "simulation",
         "played": played,
         "analytic_rate": analytic,
-        "estimate": rate_estimate_to_dict(estimate),
-        "verdict": {
-            "status": verdict.status,
-            "passed": verdict.passed,
-            "analytic": verdict.analytic,
-            "slope": verdict.slope,
-            "stderr": verdict.stderr,
-            "margin": verdict.margin,
-        },
+        "estimate": report_to_dict(estimate),
+        "verdict": _fields_of(verdict),
     }
     _emit(payload, args)
     if args.plot:

@@ -38,23 +38,14 @@ from .transport import ball_membership
 SUPPORT_TOL = 1e-7
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Residuals:
     kkt: float
     marginal: float
     invariance: float
 
-    def __eq__(self, other):
-        if not isinstance(other, Residuals):
-            return NotImplemented
-        return (self.kkt, self.marginal, self.invariance) == (
-            other.kkt,
-            other.marginal,
-            other.invariance,
-        )
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RateReport:
     """Optimal rate with certificates: the optimizing occupation law, the
     tilted kernel leaving it invariant, and the worst-case model kernel."""
@@ -65,18 +56,6 @@ class RateReport:
     pi_hat: Kernel
     residuals: Residuals
     converged: bool
-
-    def __eq__(self, other):
-        if not isinstance(other, RateReport):
-            return NotImplemented
-        return (
-            self.value == other.value
-            and self.nu_star == other.nu_star
-            and self.q_star == other.q_star
-            and self.pi_hat == other.pi_hat
-            and self.residuals == other.residuals
-            and self.converged == other.converged
-        )
 
 
 def _require_entropic(model: DivergenceModel):

@@ -27,7 +27,7 @@ from scipy.optimize import linprog
 
 from . import transport
 from ._entropic import Terms
-from .chain_core import MASS_ZERO, BallSet, ChainSpec, Dist, Kernel
+from .chain_core import MASS_ZERO, BallSet, ChainSpec, Dist, Kernel, _frozen
 from .divergence import DivergenceModel, Variant, coupling_start, resolve_model
 
 # States with mass at or below this are treated as unvisited: their kernel
@@ -65,9 +65,7 @@ class Envelope:
 
     def __post_init__(self):
         for name in ("lo", "hi"):
-            a = np.array(getattr(self, name), dtype=np.float64, copy=True)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     def __eq__(self, other):
         if not isinstance(other, Envelope):
@@ -78,7 +76,7 @@ class Envelope:
         return bool(np.all(nu.p >= self.lo - atol) and np.all(nu.p <= self.hi + atol))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ConditionReport:
     """Outcome of the ergodicity-style condition checks on a chain."""
 
@@ -89,20 +87,6 @@ class ConditionReport:
     invariant: Dist | None
     unique_invariant: bool
     note: str | None = None
-
-    def __eq__(self, other):
-        if not isinstance(other, ConditionReport):
-            return NotImplemented
-        return (
-            self.m1_holds == other.m1_holds
-            and self.l0 == other.l0
-            and self.n0 == other.n0
-            and self.m2_holds == other.m2_holds
-            and self.unique_invariant == other.unique_invariant
-            and self.note == other.note
-            and (self.invariant is None) == (other.invariant is None)
-            and (self.invariant is None or np.array_equal(self.invariant.p, other.invariant.p))
-        )
 
 
 def stationary(kernel: Kernel) -> tuple[Dist, bool]:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import linprog
 
-from .chain_core import BallSet, Dist, MetricSpace
+from .chain_core import BallSet, Dist, MetricSpace, _frozen
 
 # Closed-ball membership slack for float-boundary cases.
 BALL_ATOL = 1e-10
@@ -55,9 +55,7 @@ class TransportPlan:
     cost: float
 
     def __post_init__(self):
-        g = np.array(self.gamma, dtype=np.float64, copy=True)
-        g.setflags(write=False)
-        object.__setattr__(self, "gamma", g)
+        object.__setattr__(self, "gamma", _frozen(self.gamma))
 
     def __eq__(self, other):
         if not isinstance(other, TransportPlan):
@@ -72,9 +70,7 @@ class DualPotential:
     f: np.ndarray
 
     def __post_init__(self):
-        f = np.array(self.f, dtype=np.float64, copy=True)
-        f.setflags(write=False)
-        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "f", _frozen(self.f))
 
     def __eq__(self, other):
         if not isinstance(other, DualPotential):

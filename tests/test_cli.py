@@ -5,20 +5,7 @@ import numpy as np
 import pytest
 
 from robust_ldp import Dist, Kernel, RateEstimate, RateReport, Residuals
-from robust_ldp.cli import (
-    condition_report_from_dict,
-    condition_report_to_dict,
-    envelope_from_dict,
-    envelope_to_dict,
-    main,
-    parse_dist,
-    parse_lengths,
-    parse_report,
-    rate_estimate_from_dict,
-    rate_estimate_to_dict,
-    rate_report_from_dict,
-    rate_report_to_dict,
-)
+from robust_ldp.cli import InputError, main, parse_dist, parse_lengths, parse_report, report_to_dict
 from robust_ldp.set_chain import ConditionReport, Envelope
 
 from conftest import EXAMPLE_STATIONARY
@@ -380,6 +367,8 @@ SIMULATE = ["simulate", "--center", "3", "--kappa", "0.2", "--lengths", "10..20:
         pytest.param([*SIMULATE, "--paths", "0"], "--paths", id="paths-0"),
         pytest.param([*SIMULATE, "--seed", "-1"], "--seed", id="seed-neg"),
         pytest.param([*SIMULATE, "--seed", str(2**64)], "--seed", id="seed-beyond-64-bit"),
+        pytest.param([*SIMULATE, "--rel-tol", "-1"], "--rel-tol", id="rel-tol-neg"),
+        pytest.param(["check", "--max-exponent", "0"], "--max-exponent", id="max-exponent-0"),
     ],
 )
 def test_out_of_range_flag_exits_2(capsys, monkeypatch, example_chain_path, argv, flag):
@@ -408,6 +397,10 @@ def test_bad_center_exits_2(capsys, example_chain_path):
     assert code == 2
 
 
+def round_trip(record):
+    return parse_report(json.loads(json.dumps(report_to_dict(record))))
+
+
 def test_report_round_trips(example_spec):
     report = RateReport(
         0.0511,
@@ -417,24 +410,24 @@ def test_report_round_trips(example_spec):
         Residuals(1e-10, 1e-12, 1e-14),
         True,
     )
-    assert rate_report_from_dict(json.loads(json.dumps(rate_report_to_dict(report)))) == report
+    assert round_trip(report) == report
 
     infinite = RateReport(
         math.inf, report.nu_star, report.q_star, report.pi_hat, report.residuals, True
     )
-    doc = rate_report_to_dict(infinite)
+    doc = report_to_dict(infinite)
     assert doc["value"] == "inf"
-    again = rate_report_from_dict(json.loads(json.dumps(doc)))
+    again = parse_report(json.loads(json.dumps(doc)))
     assert again == infinite
 
     env = Envelope(np.array([0.1, 0.2, 0.3]), np.array([0.4, 0.5, 0.6]))
-    assert envelope_from_dict(json.loads(json.dumps(envelope_to_dict(env)))) == env
+    assert round_trip(env) == env
 
     cond = ConditionReport(True, 2, 2, True, Dist(np.array([0.5, 0.5])), True, None)
-    assert (
-        condition_report_from_dict(json.loads(json.dumps(condition_report_to_dict(cond))))
-        == cond
-    )
+    assert round_trip(cond) == cond
+
+    no_invariant = ConditionReport(False, None, None, False, None, False, "no support cycle")
+    assert round_trip(no_invariant) == no_invariant
 
     est = RateEstimate(
         np.array([40, 60]),
@@ -447,7 +440,24 @@ def test_report_round_trips(example_spec):
         True,
         "ok",
     )
-    assert rate_estimate_from_dict(json.loads(json.dumps(rate_estimate_to_dict(est)))) == est
+    assert round_trip(est) == est
+
+    unusable = RateEstimate(
+        np.array([5, 10]),
+        np.array([0, 0]),
+        np.array([0.0, 0.0]),
+        None,
+        None,
+        np.array([], dtype=np.int64),
+        np.array([], dtype=np.int64),
+        False,
+        "all hit counts are zero",
+    )
+    assert round_trip(unusable) == unusable
 
     # generic dispatch
-    assert parse_report(rate_report_to_dict(report)) == report
+    assert parse_report(report_to_dict(report)) == report
+
+    with pytest.raises(InputError) as raised:
+        parse_report({"kind": "nope"})
+    assert raised.value.path == "$.kind"

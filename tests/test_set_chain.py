@@ -123,6 +123,7 @@ def test_envelope_strictly_brackets_stationary(example_spec):
     assert np.all(env.lo < EXAMPLE_STATIONARY - 1e-4)
     assert np.all(env.hi > EXAMPLE_STATIONARY + 1e-4)
     assert env.lo.sum() <= 1.0 + 1e-9 <= env.hi.sum() + 2e-9
+    assert not env.lo.flags.writeable and not env.hi.flags.writeable
 
 
 def test_envelope_against_feasibility_grid(example_spec):

@@ -148,6 +148,8 @@ def test_plans_are_deterministic(example_space):
     b = w1(example_space, mu, nu)
     assert np.array_equal(a.plan.gamma, b.plan.gamma)
     assert a.value == b.value
+    assert not a.plan.gamma.flags.writeable
+    assert not a.potential.f.flags.writeable
 
 
 def test_ball_membership_examples(example_space):
