@@ -60,8 +60,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError, qr
-from scipy.optimize import linprog
 
+from ._highs import linprog
 from ._lapack import cho_factor, cho_solve
 
 GAP_TOL = 1e-9

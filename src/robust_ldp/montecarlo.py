@@ -49,6 +49,12 @@ TILE = 2048
 GUIDE_PER_BREAK = 64
 GUIDE_MAX = 1 << 16
 
+# Path steps (paths times length, summed over the plan) per worker thread.
+# Starting and joining a pool costs about 1.5 ms: on 2 cores, two threads
+# beat one on 3- and 7-state chains only from 5e4-1e5 path steps on, so
+# smaller plans run inline.
+STEPS_PER_WORKER = 50_000
+
 # Lengths enter the slope fit only with at least this many hits; rarer
 # counts inflate the variance beyond usefulness.
 FIT_MIN_HITS = 10
@@ -248,7 +254,8 @@ def simulate_paths(plan: SimPlan, threads: int | None = None) -> RateEstimate:
         return li, _block_hits(plan, li, bi, count, walk)
 
     hits = np.zeros(len(plan.lengths), dtype=np.int64)
-    workers = min(resolve_threads(threads), len(jobs))
+    steps = npaths * sum(plan.lengths)
+    workers = min(resolve_threads(threads), len(jobs), max(1, steps // STEPS_PER_WORKER))
     if workers > 1:
         # Longest blocks first, so that the last ones to finish are short.
         jobs.sort(key=lambda job: plan.lengths[job[0]] * job[2], reverse=True)

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from . import transport
 from ._entropic import Terms
+from ._highs import linprog
 from .chain_core import MASS_ZERO, BallSet, ChainSpec, Dist, Kernel, _frozen
 from .divergence import DivergenceModel, Variant, coupling_start, resolve_model
 

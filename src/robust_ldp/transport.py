@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
 
+from ._highs import linprog
 from .chain_core import BallSet, Dist, MetricSpace, _frozen
 
 # Closed-ball membership slack for float-boundary cases.

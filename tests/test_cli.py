@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from robust_ldp import Dist, Kernel, RateEstimate, RateReport, Residuals
 from robust_ldp.cli import InputError, main, parse_dist, parse_lengths, parse_report, report_to_dict
 from robust_ldp.set_chain import ConditionReport, Envelope
 
-from conftest import EXAMPLE_STATIONARY
+from conftest import EXAMPLE_STATIONARY, REPO_ROOT
 
 
 def run(capsys, argv):
@@ -135,6 +138,48 @@ def test_envelope_weights(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["max"] == pytest.approx(6 / 13, abs=1e-8)
+
+
+LAZY_LP_PROBE = """
+import contextlib, io, json, sys
+import robust_ldp, robust_ldp.cli as cli
+from robust_ldp import _entropic, set_chain, transport
+
+chain = sys.argv[1]
+loaded = {"import": "scipy.optimize" in sys.modules}
+codes = []
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    codes.append(cli.main(["check", "--chain", chain, "--reproducible"]))
+    loaded["check"] = "scipy.optimize" in sys.modules
+    codes.append(cli.main(["envelope", "--chain", chain, "--reproducible"]))
+    loaded["envelope"] = "scipy.optimize" in sys.modules
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    codes.append(cli.main(["wasserstein", "--chain", chain, "--mu", "1", "--nu", "3", "--reproducible"]))
+loaded["wasserstein"] = "scipy.optimize" in sys.modules
+print(json.dumps({
+    "loaded": loaded,
+    "codes": codes,
+    "value": json.loads(out.getvalue())["value"],
+    "shared": transport.linprog is set_chain.linprog is _entropic.linprog,
+}))
+"""
+
+
+def test_lp_solver_loads_at_the_first_lp(example_chain_path):
+    """In a fresh interpreter, importing the package and running check and
+    envelope leave scipy.optimize unloaded; wasserstein's W1 LP loads it."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_LP_PROBE, example_chain_path],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    doc = json.loads(proc.stdout)
+    assert doc["loaded"] == {"import": False, "check": False, "envelope": False, "wasserstein": True}
+    assert doc["codes"] == [0, 0, 0]
+    assert doc["value"] == pytest.approx(1.0, abs=1e-12)
+    assert doc["shared"]
 
 
 def test_wasserstein_command(capsys, example_chain_path, tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -51,6 +52,34 @@ def test_worker_count_does_not_change_results(example_spec, example_ball):
     one = simulate_paths(plan, threads=1)
     four = simulate_paths(plan, threads=4)
     assert np.array_equal(one.hits, four.hits)
+
+
+def test_small_plans_run_inline(example_spec, example_ball, monkeypatch):
+    """A plan below STEPS_PER_WORKER path steps per extra worker starts no
+    pool; a larger one still spreads its blocks over two workers."""
+    monkeypatch.delenv("ROBUST_LDP_THREADS", raising=False)
+    lengths = (10, 12)
+    small = SimPlan(example_spec, example_spec.kernel, example_ball, lengths, 160, 3)
+    large = SimPlan(example_spec, example_spec.kernel, example_ball, lengths, montecarlo.BLOCK, 3)
+    assert 160 * sum(lengths) < 2 * montecarlo.STEPS_PER_WORKER
+    assert montecarlo.BLOCK * sum(lengths) >= 2 * montecarlo.STEPS_PER_WORKER
+    want_small, want_large = (simulate_paths(p, threads=1).hits.tolist() for p in (small, large))
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("small plan started a thread pool")
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+    assert simulate_paths(small, threads=2).hits.tolist() == want_small
+
+    pools = []
+
+    def recording_pool(max_workers):
+        pools.append(max_workers)
+        return ThreadPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", recording_pool)
+    assert simulate_paths(large, threads=2).hits.tolist() == want_large
+    assert pools == [2]
 
 
 def test_seed_changes_results(example_spec, example_ball):
