@@ -56,13 +56,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import LinAlgError, qr
+from numpy.linalg import LinAlgError
 
 from ._highs import linprog
 from ._lapack import cho_factor, cho_solve
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 GAP_TOL = 1e-9
 CONVERGED_KKT = 1e-8
@@ -309,6 +312,8 @@ def _phase_one(a: sp.csc_array, b: np.ndarray):
 
     Returns (z, delta) or None when the polytope is empty.
     """
+    import scipy.sparse as sp
+
     m, n = a.shape
     c = np.zeros(n + 1)
     c[-1] = -1.0
@@ -345,6 +350,8 @@ def _max_coordinate(a: sp.csc_array, b: np.ndarray, i: int) -> float:
 def _independent_rows(a: sp.csc_array) -> np.ndarray:
     """A maximal set of linearly independent rows, in increasing order, by
     a pivoted QR of the dense transpose (the solver's only dense copy)."""
+    from scipy.linalg import qr
+
     if a.shape[0] == 0 or a.shape[1] == 0:
         return np.zeros(0, dtype=np.int64)
     _, r, piv = qr(a.T.toarray(), mode="economic", pivoting=True)

@@ -1,8 +1,8 @@
 """HiGHS linear programs through ``scipy.optimize.linprog``, imported at
 the first call.
 
-Importing ``scipy.optimize`` costs about 0.3 s, a third of the package's
-import, and many commands (``check``, ``envelope``) never solve an LP.
+Importing ``scipy.optimize`` costs about 0.3 s, and many commands
+(``check``, ``envelope``) never solve an LP.
 """
 
 

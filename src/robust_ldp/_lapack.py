@@ -4,15 +4,23 @@ These call the routines ``scipy.linalg.cho_factor``/``cho_solve`` call
 (``potrf``/``potrs``), on float64 and the lower triangle only, without
 scipy's per-call argument handling, which costs more than the
 factorisation itself on the small matrices of the Newton step.  Results
-are bit-identical to scipy's.
+are bit-identical to scipy's.  The routines are bound at the first
+``cho_factor`` call, so importing this module loads numpy only.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs
+from numpy.linalg import LinAlgError
 
-_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+_potrf = _potrs = None
+
+
+def _bind() -> None:
+    global _potrf, _potrs
+    from scipy.linalg import get_lapack_funcs
+
+    _potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 def cho_factor(a: np.ndarray) -> np.ndarray:
@@ -25,6 +33,8 @@ def cho_factor(a: np.ndarray) -> np.ndarray:
     a = np.asarray_chkfinite(a)
     if a.size == 0:
         return np.empty_like(a, dtype=np.float64)
+    if _potrf is None:
+        _bind()
     c, info = _potrf(a, lower=True, clean=False)
     if info > 0:
         raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")

@@ -217,6 +217,11 @@ class BallSet:
 
 def validate_metric(space: MetricSpace) -> list[Violation]:
     out: list[Violation] = []
+    seen: set[str] = set()
+    for i, label in enumerate(space.labels):
+        if label in seen:
+            out.append(Violation(f"$.states[{i}]", f"duplicate label {label!r}"))
+        seen.add(label)
     d = space.dist
     n = space.n
     if d.shape != (n, n):

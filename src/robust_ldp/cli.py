@@ -295,7 +295,7 @@ def cmd_rate(args) -> int:
 def cmd_envelope(args) -> int:
     spec = load_chain_file(args.chain)
     variant = MODEL_NAMES[args.model]
-    threads = parse_threads(args)
+    threads = resolve_threads(parse_threads(args))
     if args.weights is not None:
         parts = args.weights.split(",")
         if len(parts) != spec.space.n:

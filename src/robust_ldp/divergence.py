@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _entropic
 from .chain_core import MASS_ZERO, Dist, Kernel, MetricSpace
@@ -159,6 +158,8 @@ def beta(space: MetricSpace, nu: Dist, mu: Dist, model: DivergenceModel) -> Dive
     ni, nj = rows.size, cols.size
     nv = ni * nj + 1  # couplings plus cost slack
     gid = np.arange(ni * nj).reshape(ni, nj)
+
+    import scipy.sparse as sp
 
     # Rows: each source's couplings sum to its mass, then the cost budget
     # over the couplings and the slack, without its zero costs.

@@ -20,15 +20,18 @@ CSC form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import transport
 from ._entropic import Terms
 from ._highs import linprog
 from .chain_core import MASS_ZERO, BallSet, ChainSpec, Dist, Kernel, _frozen
 from .divergence import DivergenceModel, Variant, coupling_start, resolve_model
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # States with mass at or below this are treated as unvisited: their kernel
 # rows carry no constraint and are reported as the nominal ones.
@@ -224,6 +227,8 @@ class InvariantPolytope:
         marginals and budget.  With ``ball_rows``, the rows
         sigma[x] = tau[x] follow, one per visited x and target y where
         either side is present."""
+        import scipy.sparse as sp
+
         n = self.spec.space.n
         pk = self.spec.kernel.rows
         d = self.spec.space.dist

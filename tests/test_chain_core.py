@@ -68,6 +68,14 @@ def test_factories_reject_bad_input():
         MetricSpace.from_matrix(["a", "b"], [[0.0, 1.0], [2.0, 0.0]])
 
 
+def test_duplicate_label_is_rejected():
+    with pytest.raises(ValidationError) as info:
+        MetricSpace.from_matrix(["a", "b", "a"], 1.0 - np.eye(3))
+    assert [(v.path, v.message) for v in info.value.violations] == [
+        ("$.states[2]", "duplicate label 'a'")
+    ]
+
+
 def test_load_normalization_is_exact():
     d = Dist.from_values([0.3 + 2e-13, 0.7])
     assert d.p.sum() == pytest.approx(1.0, abs=0)

@@ -58,6 +58,15 @@ def test_bad_row_sum_exits_2(capsys, tmp_path):
     assert "$.kernel[0]" in err
 
 
+@pytest.mark.parametrize("command", [["check"], ["rate", "--center", "a", "--kappa", "0.2"]])
+def test_duplicate_state_label_exits_2(capsys, tmp_path, command):
+    path = write_chain(tmp_path, states=["a", "a", "b"])
+    code, out, err = run(capsys, [command[0], "--chain", path, *command[1:]])
+    assert code == 2
+    assert "input error at $.states[1]: duplicate label 'a'" in err
+    assert out == ""
+
+
 def test_missing_file_and_bad_json(capsys, tmp_path):
     code, _, err = run(capsys, ["check", "--chain", str(tmp_path / "nope.json")])
     assert code == 2
@@ -144,23 +153,41 @@ LAZY_LP_PROBE = """
 import contextlib, io, json, sys
 import robust_ldp, robust_ldp.cli as cli
 from robust_ldp import _entropic, set_chain, transport
+from robust_ldp import BallSet, Dist, SimPlan, Variant, robust_functional_bound, simulate_paths
+
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.startswith("scipy"))
+
 
 chain = sys.argv[1]
-loaded = {"import": "scipy.optimize" in sys.modules}
+loaded = {"import": scipy_modules()}
 codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(cli.main(["check", "--chain", chain, "--reproducible"]))
+    loaded["check"] = scipy_modules()
+    codes.append(cli.main(["envelope", "--chain", chain, "--reproducible"]))
+    loaded["envelope"] = scipy_modules()
+spec = cli.load_chain_file(chain)
+bound, _ = robust_functional_bound(spec, Variant.BALL_INDICATOR, [0.0, 0.0, 1.0])
+loaded["robust_functional_bound"] = scipy_modules()
+ball = BallSet(Dist.dirac(2, 3), 0.2)
+estimate = simulate_paths(SimPlan(spec, spec.kernel, ball, (10, 20), 2000, 7), threads=1)
+loaded["simulate_paths"] = scipy_modules()
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
-    codes.append(cli.main(["check", "--chain", chain, "--reproducible"]))
-    loaded["check"] = "scipy.optimize" in sys.modules
-    codes.append(cli.main(["envelope", "--chain", chain, "--reproducible"]))
-    loaded["envelope"] = "scipy.optimize" in sys.modules
+    codes.append(cli.main(["rate", "--chain", chain, "--center", "3", "--kappa", "0.2", "--reproducible"]))
+rate = json.loads(out.getvalue())["value"]
+loaded["rate"] = [name for name in ("scipy.linalg", "scipy.optimize", "scipy.sparse") if name in sys.modules]
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     codes.append(cli.main(["wasserstein", "--chain", chain, "--mu", "1", "--nu", "3", "--reproducible"]))
-loaded["wasserstein"] = "scipy.optimize" in sys.modules
 print(json.dumps({
     "loaded": loaded,
     "codes": codes,
+    "bound": bound,
+    "lengths": estimate.lengths.tolist(),
+    "rate": rate,
     "value": json.loads(out.getvalue())["value"],
     "shared": transport.linprog is set_chain.linprog is _entropic.linprog,
 }))
@@ -168,16 +195,23 @@ print(json.dumps({
 
 
 def test_lp_solver_loads_at_the_first_lp(example_chain_path):
-    """In a fresh interpreter, importing the package and running check and
-    envelope leave scipy.optimize unloaded; wasserstein's W1 LP loads it."""
+    """In a fresh interpreter, importing the package, running check and
+    envelope, a functional bound and a Dirac-centre simulation load no
+    scipy module; the first rate program loads scipy's sparse, linalg and
+    LP modules and reports the worked robust rate."""
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", LAZY_LP_PROBE, example_chain_path],
         env=env, capture_output=True, text=True, check=True,
     )
     doc = json.loads(proc.stdout)
-    assert doc["loaded"] == {"import": False, "check": False, "envelope": False, "wasserstein": True}
-    assert doc["codes"] == [0, 0, 0]
+    numpy_only = ("import", "check", "envelope", "robust_functional_bound", "simulate_paths")
+    assert {k: doc["loaded"][k] for k in numpy_only} == {k: [] for k in numpy_only}
+    assert doc["loaded"]["rate"] == ["scipy.linalg", "scipy.optimize", "scipy.sparse"]
+    assert doc["codes"] == [0, 0, 0, 0]
+    assert 0.0 < doc["bound"] < 1.0
+    assert doc["lengths"] == [10, 20]
+    assert doc["rate"] == pytest.approx(0.0511, abs=0.002)
     assert doc["value"] == pytest.approx(1.0, abs=1e-12)
     assert doc["shared"]
 
@@ -431,6 +465,16 @@ def test_bad_thread_variable_is_named(capsys, monkeypatch, example_chain_path, v
     assert code == 2
     assert "ROBUST_LDP_THREADS" in err
     assert "invalid literal" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("weights", [[], ["--weights", "0,0,1"]], ids=["envelope", "weights"])
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_envelope_checks_the_thread_variable(capsys, monkeypatch, example_chain_path, value, weights):
+    monkeypatch.setenv("ROBUST_LDP_THREADS", value)
+    code, out, err = run(capsys, ["envelope", "--chain", example_chain_path, *weights])
+    assert code == 2
+    assert "ROBUST_LDP_THREADS" in err
     assert out == ""
 
 
