@@ -2,15 +2,16 @@
 
 Solves
 
-    minimize    sum_k  u_k ln(u_k / v_k(z))  + constant
+    minimize    sum_k  u_k ln(u_k / v_k(z))
     subject to  A z = b,  z >= 0
 
-where every numerator u_k is a single coordinate of z or a positive
-constant, and every denominator v_k is an affine expression with
-nonnegative coefficients.  This captures relative-entropy objectives
-whose reference measures are themselves decision variables (marginals of
-transport couplings), which is the shape of all robust-divergence and
-rate programs in this package.
+where every numerator u_k is a single coordinate of z and every
+denominator v_k is an affine expression with nonnegative coefficients.
+This captures relative-entropy objectives whose reference measures are
+themselves decision variables (marginals of transport couplings), which
+is the shape of all robust-divergence and rate programs in this package.
+A numerator that is a fixed mass, as in the robust divergence, is a
+coordinate pinned by its own row ``z_u = mass``.
 
 An ``EntropicProgram`` holds the rows A as a ``scipy.sparse.csc_array``
 and the objective as ``Terms``, flat arrays with one numerator per term
@@ -23,9 +24,8 @@ term ``u ln(u/v)`` has rank one, so the Newton matrix at parameter t is
 
     H = diag(t s / z) + S diag(t w) S^T
 
-with one sparse column s_k per term: ``s_k = e_u - (u/v) c`` and
-``w = 1/u`` for a variable numerator, ``s_k = c`` and ``w = p/v^2`` for a
-constant one, where c holds the denominator's coefficients.  The bound
+with one sparse column ``s_k = e_u - (u/v) c`` and weight ``w = 1/u`` per
+term, where c holds the denominator's coefficients.  The bound
 multipliers s are carried along the path (primal-dual scaling; Wright
 1997, ch. 11), so a coordinate that the next stage drives to zero shrinks
 in one or two steps instead of ten.  H^-1 is applied by the Woodbury
@@ -87,13 +87,11 @@ class EntropicProgram:
     a_eq: sp.csc_array
     b_eq: np.ndarray
     terms: Terms
-    constant: float = 0.0
 
 
 @dataclass
 class EntropicSolution:
     z: np.ndarray | None
-    value: float
     kkt_residual: float
     converged: bool
     status: str
@@ -109,15 +107,13 @@ class EntropicSolution:
 class Terms:
     """The objective terms as flat arrays.
 
-    Term k has numerator ``z[numer[k]]``, or the constant ``numer_const[k]``
-    where ``numer[k]`` is -1 (``numer_const[k]`` is 0 otherwise), and
-    denominator ``const[k]`` plus ``coef[e] * z[idx[e]]`` summed over the
-    entries e with ``term[e] == k``, in entry order; the coefficients are
-    positive and the constants nonnegative.
+    Term k has numerator ``z[numer[k]]`` and denominator ``const[k]`` plus
+    ``coef[e] * z[idx[e]]`` summed over the entries e with ``term[e] == k``,
+    in entry order; the coefficients are positive and the constants
+    nonnegative.
     """
 
     numer: np.ndarray
-    numer_const: np.ndarray
     idx: np.ndarray
     coef: np.ndarray
     term: np.ndarray
@@ -128,21 +124,15 @@ class Terms:
         return self.numer.size
 
     def numerators(self, z: np.ndarray) -> np.ndarray:
-        var = self.numer >= 0
-        u = self.numer_const.copy()
-        u[var] = z[self.numer[var]]
-        return u
+        return z[self.numer]
 
     def denominators(self, z: np.ndarray) -> np.ndarray:
         weights = self.coef * z[self.idx]
         return np.bincount(self.term, weights=weights, minlength=self.size) + self.const
 
     def numerator_alive(self, keep: np.ndarray) -> np.ndarray:
-        """Terms whose numerator is a constant or a kept coordinate."""
-        var = self.numer >= 0
-        alive = ~var
-        alive[var] = keep[self.numer[var]]
-        return alive
+        """Terms whose numerator coordinate is kept."""
+        return keep[self.numer]
 
     def denominator_alive(self, keep: np.ndarray) -> np.ndarray:
         """Terms whose denominator keeps a coordinate or a positive constant."""
@@ -165,11 +155,8 @@ class Terms:
         term_of = -np.ones(self.size, dtype=np.int64)
         term_of[stay] = np.arange(int(stay.sum()))
         entry = stay[self.term] & keep[self.idx]
-        numer = self.numer[stay]
-        numer[numer >= 0] = new_of[numer[numer >= 0]]
         return Terms(
-            numer,
-            self.numer_const[stay],
+            new_of[self.numer[stay]],
             new_of[self.idx[entry]],
             self.coef[entry],
             term_of[self.term[entry]],
@@ -208,10 +195,9 @@ class _Newton:
         self.terms = terms
         self.m, self.n = a.shape
         self.k = k = terms.size
-        self.var = terms.numer >= 0
-        # S: a 1 at each variable numerator, then the denominator entries.
-        self.s_row = np.concatenate([terms.numer[self.var], terms.idx])
-        self.s_col = np.concatenate([np.where(self.var)[0], terms.term])
+        # S: a 1 at each numerator, then the denominator entries.
+        self.s_row = np.concatenate([terms.numer, terms.idx])
+        self.s_col = np.concatenate([np.arange(k), terms.term])
         # CSC order: columns increasing, rows increasing within a column.
         coo = a.tocoo()
         self.a_row, self.a_col = coo.row.astype(np.int64), coo.col.astype(np.int64)
@@ -242,12 +228,10 @@ class _Newton:
         tm = self.terms
         u, v = tm.numerators(z), tm.denominators(z)
         ratio = u / v
-        grad = np.bincount(tm.numer[self.var], weights=np.log(ratio[self.var]) + 1.0,
-                           minlength=self.n)
+        grad = np.bincount(tm.numer, weights=np.log(ratio) + 1.0, minlength=self.n)
         grad = grad - np.bincount(tm.idx, weights=ratio[tm.term] * tm.coef, minlength=self.n)
-        scale = np.where(self.var, -ratio, 1.0)
-        self.s_val = np.concatenate([np.ones(int(self.var.sum())), scale[tm.term] * tm.coef])
-        self.tw = t * np.where(self.var, 1.0 / u, u / v**2)
+        self.s_val = np.concatenate([np.ones(self.k), -ratio[tm.term] * tm.coef])
+        self.tw = t * (1.0 / u)
         self.dinv = z * z
         return t * grad - 1.0 / z
 
@@ -432,20 +416,18 @@ def solve(prog: EntropicProgram, z0: np.ndarray | None = None) -> EntropicSoluti
             # A term whose numerator is pinned at zero contributes 0; one
             # whose denominator vanishes pins its numerator at zero.
             dead = terms.numerator_alive(active) & ~terms.denominator_alive(active)
-            if np.any(dead & (terms.numer < 0)):
-                return EntropicSolution(None, math.inf, 0.0, True, "infeasible")
             if dead.any():
                 active[terms.numer[dead]] = False
                 continue
             na = int(active.sum())
             if na == 0:
                 if b.size and np.max(np.abs(b)) > 1e-9:
-                    return EntropicSolution(None, math.inf, 0.0, True, "infeasible")
+                    return EntropicSolution(None, 0.0, True, "infeasible")
                 z_start = np.zeros(0)
                 break
             probe = _phase_one(a_full[:, active], b)
             if probe is None:
-                return EntropicSolution(None, math.inf, 0.0, True, "infeasible")
+                return EntropicSolution(None, 0.0, True, "infeasible")
             z_act, delta = probe
             if delta > 1e-9:
                 z_start = z_act
@@ -458,7 +440,7 @@ def solve(prog: EntropicProgram, z0: np.ndarray | None = None) -> EntropicSoluti
             ]
             if not forced:
                 if delta <= 0.0 or np.any(z_act <= 0.0):
-                    return EntropicSolution(None, math.inf, 0.0, False, "degenerate")
+                    return EntropicSolution(None, 0.0, False, "degenerate")
                 z_start = z_act
                 break
             active[forced] = False
@@ -486,7 +468,6 @@ def solve(prog: EntropicProgram, z0: np.ndarray | None = None) -> EntropicSoluti
             break
         t_bar *= 10.0
 
-    value = terms_w.objective(z)
     gap = z.size / t_bar if z.size else 0.0
     primal = float(np.max(np.abs(a_act @ z - b))) if b.size else 0.0
 
@@ -495,6 +476,4 @@ def solve(prog: EntropicProgram, z0: np.ndarray | None = None) -> EntropicSoluti
     kkt = max(gap, primal)
     converged = kkt <= CONVERGED_KKT
     status = "optimal" if converged else "max_iterations"
-    return EntropicSolution(
-        z_full, value + prog.constant, kkt, converged, status, total_iters, primal
-    )
+    return EntropicSolution(z_full, kkt, converged, status, total_iters, primal)

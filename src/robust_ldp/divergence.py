@@ -128,8 +128,10 @@ def beta(space: MetricSpace, nu: Dist, mu: Dist, model: DivergenceModel) -> Dive
     For the entropic variants this solves the convex program over coupling
     variables with row sums ``mu`` and free column sums, minimizing the
     relative entropy of ``nu`` against the column marginal subject to the
-    transport-cost budget.  Infeasibility yields value +infinity as a
-    result, not an error.
+    transport-cost budget.  Each mass of ``nu`` that enters the objective is
+    a coordinate of its own, pinned by a row to its value, so every term has
+    the solver's one shape ``u ln(u / sum_i gamma[i, j])``.  Infeasibility
+    yields value +infinity as a result, not an error.
     """
     n = space.n
     if nu.n != n or mu.n != n:
@@ -156,39 +158,41 @@ def beta(space: MetricSpace, nu: Dist, mu: Dist, model: DivergenceModel) -> Dive
     rows = np.where(mu.support())[0]
     cols = rows if model.restrict_support else np.arange(n)
     ni, nj = rows.size, cols.size
-    nv = ni * nj + 1  # couplings plus cost slack
+    # Couplings, the cost slack, then one mass u per target that nu visits.
+    seen = np.flatnonzero(nu.p[cols] > MASS_ZERO)
+    mass = nu.p[cols[seen]]
+    nv = ni * nj + 1 + seen.size
     gid = np.arange(ni * nj).reshape(ni, nj)
+    uid = np.arange(ni * nj + 1, nv)
 
     import scipy.sparse as sp
 
-    # Rows: each source's couplings sum to its mass, then the cost budget
-    # over the couplings and the slack, without its zero costs.
+    # Rows: each source's couplings sum to its mass, the cost budget over
+    # the couplings and the slack, without its zero costs, then u = mass.
     dsub = space.dist[np.ix_(rows, cols)]
     budget = np.append(dsub.ravel(), 1.0)
     on = np.flatnonzero(budget)
-    row = np.append(np.repeat(np.arange(ni), nj), np.full(on.size, ni))
-    col = np.append(gid.ravel(), on)
-    a = sp.csc_array((np.append(np.ones(ni * nj), budget[on]), (row, col)), shape=(ni + 1, nv))
-    b = np.append(mu.p[rows], r)
+    row = np.concatenate([np.repeat(np.arange(ni), nj), np.full(on.size, ni),
+                          ni + 1 + np.arange(seen.size)])
+    col = np.concatenate([gid.ravel(), on, uid])
+    val = np.concatenate([np.ones(ni * nj), budget[on], np.ones(seen.size)])
+    a = sp.csc_array((val, (row, col)), shape=(ni + 1 + seen.size, nv))
+    b = np.concatenate([mu.p[rows], [r], mass])
 
-    # One term nu[j] ln(nu[j] / sum_i gamma[i, j]) per target j that nu visits.
-    seen = np.flatnonzero(nu.p[cols] > MASS_ZERO)
-    mass = nu.p[cols[seen]]
+    # One term u[j] ln(u[j] / sum_i gamma[i, j]) per target j that nu visits.
     terms = _entropic.Terms(
-        np.full(seen.size, -1),
-        mass,
+        uid,
         gid[:, seen].T.ravel(),
         np.ones(seen.size * ni),
         np.repeat(np.arange(seen.size), ni),
         np.zeros(seen.size),
     )
-    const = sum(m * math.log(m) for m in mass)
 
     spread = float(mu.p[rows] @ dsub.mean(axis=1))
     g0, cost = coupling_start(mu.p, rows, cols, dsub, r, spread)
-    z0 = np.append(g0.ravel(), r - cost)
+    z0 = np.concatenate([g0.ravel(), [r - cost], mass])
 
-    prog = _entropic.EntropicProgram(nv, a, b, terms, constant=const)
+    prog = _entropic.EntropicProgram(nv, a, b, terms)
     sol = _entropic.solve(prog, z0=z0)
     if not sol.feasible:  # pragma: no cover - feasible by construction here
         return _INFEASIBLE

@@ -87,6 +87,13 @@ class RateEstimate:
     usable: bool
     status: str
 
+    def __post_init__(self):
+        # Read-only copies that keep their dtypes: the counts stay integers.
+        for name in ("lengths", "hits", "p_hat", "usable_lengths", "fit_lengths"):
+            value = np.array(getattr(self, name))
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
     def __eq__(self, other):
         if not isinstance(other, RateEstimate):
             return NotImplemented

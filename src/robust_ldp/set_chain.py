@@ -314,13 +314,13 @@ class InvariantPolytope:
         if self.r > 0.0:
             gam = self.gam_ids[tx, :, ty]
             term, i = np.nonzero(gam >= 0)
-            return Terms(numer, zero, gam[term, i], np.ones(term.size), term, zero)
+            return Terms(numer, gam[term, i], np.ones(term.size), term, zero)
         p = np.where(self.live[tx, ty], self.spec.kernel.rows[tx, ty], 0.0)
         if self.nu_ids is None:
             none = np.zeros(0, dtype=np.int64)
-            return Terms(numer, zero, none, np.zeros(0), none, p * self.fixed[tx])
+            return Terms(numer, none, np.zeros(0), none, p * self.fixed[tx])
         term = np.flatnonzero(p)
-        return Terms(numer, zero, self.nu_ids[tx[term]], p[term], term, zero)
+        return Terms(numer, self.nu_ids[tx[term]], p[term], term, zero)
 
     def start(self) -> np.ndarray | None:
         """A strictly feasible point where one is known in closed form: with

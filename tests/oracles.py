@@ -252,8 +252,7 @@ def _term(terms, k, z):
     on = np.flatnonzero(terms.term == k)
     idx, c = terms.idx[on], terms.coef[on]
     v = float(c @ z[idx]) + float(terms.const[k])
-    u = z[terms.numer[k]] if terms.numer[k] >= 0 else float(terms.numer_const[k])
-    return u, idx, c, v
+    return z[terms.numer[k]], idx, c, v
 
 
 def entropic_objective(terms, z):
@@ -278,15 +277,12 @@ def entropic_grad_hess(terms, z, n):
     h = np.zeros((n, n))
     for k in range(terms.numer.size):
         u, idx, c, v = _term(terms, k, z)
-        if terms.numer[k] >= 0:
-            i = terms.numer[k]
-            g[i] += math.log(u / v) + 1.0
-            g[idx] -= (u / v) * c
-            h[i, i] += 1.0 / u
-            h[i, idx] -= c / v
-            h[idx, i] -= c / v
-        else:
-            g[idx] -= (u / v) * c
+        i = terms.numer[k]
+        g[i] += math.log(u / v) + 1.0
+        g[idx] -= (u / v) * c
+        h[i, i] += 1.0 / u
+        h[i, idx] -= c / v
+        h[idx, i] -= c / v
         h[np.ix_(idx, idx)] += (u / v**2) * np.outer(c, c)
     return g, h
 
@@ -311,7 +307,7 @@ def _sigma(poly, x, y):
 def polytope_terms_by_pairs(poly):
     """The terms of ``sum tau ln(tau / sigma)`` over a polytope, one (x, y)
     pair at a time in tau numbering order, as the arrays of
-    ``_entropic.Terms``: (numer, numer_const, idx, coef, term, const)."""
+    ``_entropic.Terms``: (numer, idx, coef, term, const)."""
     numer, idx, coef, term, const = [], [], [], [], []
     for x, y in poly.taus():
         sigma = _sigma(poly, x, y)
@@ -325,7 +321,6 @@ def polytope_terms_by_pairs(poly):
         const.append(k)
     return (
         np.array(numer, dtype=np.int64),
-        np.zeros(len(numer)),
         np.array(idx, dtype=np.int64),
         np.array(coef, dtype=np.float64),
         np.array(term, dtype=np.int64),

@@ -18,6 +18,7 @@ from robust_ldp.divergence import Variant, entropy_model
 from oracles import entropic_grad_hess, entropic_objective
 
 REL = 1e-9
+BETA_NU = np.array([0.1, 0.1, 0.8])
 
 
 @pytest.fixture
@@ -46,16 +47,15 @@ def _shape_constant_denominators(spec, ball):
     rate_at(spec, Dist(np.array([0.2, 0.3, 0.5])), Variant.ENTROPY)
 
 
-def _shape_constant_numerators(spec, ball):
-    nu = Dist(np.array([0.1, 0.1, 0.8]))
-    beta(spec.space, nu, Dist(spec.kernel.rows[0]), entropy_model(0.05))
+def _shape_pinned_numerators(spec, ball):
+    beta(spec.space, Dist(BETA_NU), Dist(spec.kernel.rows[0]), entropy_model(0.05))
 
 
 SHAPES = {
     "r>0": _shape_free_nu_ball,
     "r=0-shared-nu": _shape_shared_denominators,
     "r=0-fixed-nu": _shape_constant_denominators,
-    "beta": _shape_constant_numerators,
+    "beta": _shape_pinned_numerators,
 }
 
 
@@ -82,13 +82,20 @@ def test_structured_step_matches_dense_assembly(recorded, example_spec, example_
     terms = prog.terms
     shared = np.bincount(terms.idx, minlength=prog.n_vars).max() if terms.idx.size else 0
     if shape == "r>0":
-        assert shared == 1 and np.all(terms.numer >= 0)
+        assert shared == 1
     if shape == "r=0-shared-nu":
         assert shared > 1  # the row's terms share the denominator nu[x]
     if shape == "r=0-fixed-nu":
         assert terms.idx.size == 0 and np.all(terms.const > 0.0)
     if shape == "beta":
-        assert np.all(terms.numer < 0)
+        # Each numerator is a mass coordinate of its own, outside every
+        # denominator, pinned by a row u = nu[j] that holds nothing else.
+        assert not np.isin(terms.numer, terms.idx).any()
+        dense = prog.a_eq.toarray()
+        pins = np.flatnonzero(dense[:, terms.numer].any(axis=1))
+        assert np.array_equal(dense[pins][:, terms.numer], np.eye(terms.size))
+        assert np.count_nonzero(dense[pins]) == terms.size
+        assert np.array_equal(prog.b_eq[pins], Dist(BETA_NU).p)
 
     n = prog.n_vars
     a = prog.a_eq[_entropic._independent_rows(prog.a_eq)]
@@ -164,7 +171,7 @@ def test_restrict_renumbers_and_keeps_the_objective(recorded, example_spec, exam
     z = rng.uniform(0.05, 1.0, prog.n_vars)
     # Drop a random half of the numerator coordinates and no denominator
     # coordinate, so every kept term keeps its denominator.
-    numer = np.setdiff1d(terms.numer[terms.numer >= 0], terms.idx)
+    numer = np.setdiff1d(terms.numer, terms.idx)
     keep = np.ones(prog.n_vars, dtype=bool)
     keep[rng.choice(numer, size=numer.size // 2, replace=False)] = False
     assert not keep.all()
@@ -203,8 +210,8 @@ def test_centering_never_raises_the_equality_residual(
 
 def test_program_without_terms_reaches_the_analytic_center():
     none = np.zeros(0, dtype=np.int64)
-    terms = _entropic.Terms(none, np.zeros(0), none, np.zeros(0), none, np.zeros(0))
+    terms = _entropic.Terms(none, none, np.zeros(0), none, np.zeros(0))
     prog = _entropic.EntropicProgram(3, sp.csc_array(np.ones((1, 3))), np.array([1.0]), terms)
     sol = _entropic.solve(prog)
-    assert sol.converged and sol.value == 0.0
+    assert sol.converged and terms.objective(sol.z) == 0.0
     np.testing.assert_allclose(sol.z, np.full(3, 1.0 / 3.0), atol=1e-9)

@@ -126,6 +126,15 @@ def test_all_zero_hits_unusable(example_space):
     assert verdict.passed is None
 
 
+def test_rate_estimate_arrays_are_read_only(example_spec, example_ball):
+    est = simulate_paths(small_plan(example_spec, example_ball, paths=200))
+    for name in ("lengths", "hits", "usable_lengths", "fit_lengths"):
+        assert getattr(est, name).dtype == np.int64
+    for name in ("lengths", "hits", "p_hat", "usable_lengths", "fit_lengths"):
+        with pytest.raises(ValueError):
+            getattr(est, name)[...] = 0
+
+
 def test_compare_rates_rules():
     est = RateEstimate(
         np.array([40, 60]),
