@@ -29,11 +29,10 @@ term, where c holds the denominator's coefficients.  The bound
 multipliers s are carried along the path (primal-dual scaling; Wright
 1997, ch. 11), so a coordinate that the next stage drives to zero shrinks
 in one or two steps instead of ten.  H^-1 is applied by the Woodbury
-identity through a K x K capacitance matrix (K terms, so terms sharing a
-denominator variable are covered), and only the m x m Schur complement
-A H^-1 A^T of the m equality rows is formed and factored.  Where Cholesky
-fails on either small matrix, the eigendecomposition of its symmetric part
-solves in the least-squares sense instead.  Every product is one
+identity with its capacitance inverted in closed form, and only the m x m
+Schur complement A H^-1 A^T of the m equality rows is factored: by
+Cholesky, or, where that fails, by the eigendecomposition of its
+symmetric part in the least-squares sense.  Every product is one
 vectorised sum over the entry pairs of the CSC triplets of A and the
 terms' entries, fixed per working problem; nothing of size
 n_vars x n_vars is ever built.
@@ -76,8 +75,8 @@ MAX_NEWTON = 80
 # gap is above SAFE_GAP, tightly from there on.
 LOOSE_INNER_TOL = 1e-2
 INNER_TOL = 1e-10
-# Eigenvalues below this share of the largest are dropped when a small
-# matrix of the Newton step is solved by eigendecomposition.
+# Eigenvalues below this share of the largest are dropped when the Schur
+# complement of the Newton step is solved by eigendecomposition.
 EIG_DROP = 1e-14
 
 
@@ -187,8 +186,14 @@ class _Newton:
         H^-1 = D^-1 - D^-1 S C^-1 S^T D^-1,
         A H^-1 A^T = A D^-1 A^T - U C^-1 U^T,   U = A D^-1 S.
 
-    The sparsity patterns of A and S are fixed here, so C, U and A D^-1 A^T
-    are each one ``bincount`` over precomputed entry pairs.
+    A variable in one term adds to C's diagonal c only (ci = 1 / c).  One
+    in several, as ``nu[x]`` is in the terms of row x at r = 0 with a free
+    law, adds the block d_v f_v f_v^T, f_v its row of S.  Each term holds
+    at most one such v, so Sherman-Morrison inverts the blocks one by one:
+    C^-1 = diag(ci) - F diag(beta) F^T, F[:, v] = ci f_v and
+    beta_v = d_v / (1 + d_v f_v^T ci f_v).  The sparsity patterns of A
+    and S are fixed here, so U and A D^-1 A^T are each one ``bincount``
+    over precomputed entry pairs.
     """
 
     def __init__(self, a: sp.csc_array, terms: Terms):
@@ -198,6 +203,11 @@ class _Newton:
         # S: a 1 at each numerator, then the denominator entries.
         self.s_row = np.concatenate([terms.numer, terms.idx])
         self.s_col = np.concatenate([np.arange(k), terms.term])
+        shared = np.bincount(self.s_row, minlength=self.n)[self.s_row] > 1
+        if np.bincount(self.s_col[shared], minlength=k).max(initial=0) > 1:
+            raise ValueError("a term holds more than one shared variable")
+        self.lone, self.shared = np.flatnonzero(~shared), np.flatnonzero(shared)
+        self.shared_var, self.block = np.unique(self.s_row[shared], return_inverse=True)
         # CSC order: columns increasing, rows increasing within a column.
         coo = a.tocoo()
         self.a_row, self.a_col = coo.row.astype(np.int64), coo.col.astype(np.int64)
@@ -207,8 +217,6 @@ class _Newton:
                    self.a_col[p])
         p, q = _pairs(self.a_col, self.s_row, self.n)
         self.as_ = (self.a_row[p] * k + self.s_col[q], self.a_val[p], q, self.a_col[p])
-        p, q = _pairs(self.s_row, self.s_row, self.n)
-        self.ss = (self.s_col[p] * k + self.s_col[q], p, q, self.s_row[p])
 
     def amul(self, x: np.ndarray) -> np.ndarray:
         return np.bincount(self.a_row, weights=self.a_val * x[self.a_col], minlength=self.m)
@@ -243,22 +251,39 @@ class _Newton:
         current equality residual, so that steps actively repair numerical
         drift), where g is the gradient of phi, with two rounds of
         iterative refinement."""
-        m, k, d = self.m, self.k, self.dinv
-        key, p, q, j = self.ss
-        cap = np.bincount(key, weights=self.s_val[p] * self.s_val[q] * d[j], minlength=k * k)
-        cinv = _inverse(cap.reshape(k, k) + np.diag(1.0 / self.tw))(np.eye(k))
+        m, k, d, sv = self.m, self.k, self.dinv, self.s_val
+        e = self.lone
+        c = np.bincount(self.s_col[e], weights=sv[e] * sv[e] * d[self.s_row[e]], minlength=k)
+        # 1/c rounded as LAPACK's Cholesky solve of diag(c) rounds it (by the
+        # reciprocal of the factor's diagonal, twice); a plain 1/c moves values.
+        w = 1.0 / np.sqrt(c + 1.0 / self.tw)
+        ci = w * w
+        e = self.shared
+        if e.size:
+            v, col = self.shared_var, self.s_col[e]
+            fe = ci[col] * sv[e]
+            f = np.zeros((k, v.size))
+            f[col, self.block] = fe
+            beta = d[v] / (1.0 + d[v] * np.bincount(self.block, weights=sv[e] * fe, minlength=v.size))
+
+            def cinv(x):  # x C^-1, for a row vector or the rows of a matrix
+                return ci * x - ((x @ f) * beta) @ f.T
+        else:
+
+            def cinv(x):
+                return ci * x
 
         def hinv(x):
             y = d * x
-            return y - d * self._s(cinv @ self._st(y))
+            return y - d * self._s(cinv(self._st(y)))
 
         if m == 0:
             return hinv(-g)
         key, a_p, q, j = self.as_
-        u = np.bincount(key, weights=a_p * self.s_val[q] * d[j], minlength=m * k).reshape(m, k)
+        u = np.bincount(key, weights=a_p * sv[q] * d[j], minlength=m * k).reshape(m, k)
         key, aa, j = self.aa
         schur = np.bincount(key, weights=aa * d[j], minlength=m * m).reshape(m, m)
-        schur_solve = _inverse(schur - u @ cinv @ u.T)
+        schur_solve = _inverse(schur - cinv(u) @ u.T)
 
         def solve_once(r1, r2):
             lam = schur_solve(self.amul(hinv(r1)) - r2)
@@ -277,7 +302,7 @@ class _Newton:
 
 
 def _inverse(mat: np.ndarray):
-    """``x -> mat^-1 x`` for a symmetric matrix that should be positive
+    """``x -> mat^-1 x`` for the Schur complement, which should be positive
     definite: by Cholesky, or, where that fails near the boundary, by the
     eigendecomposition of the symmetric part with the eigenvalues below
     EIG_DROP times the largest dropped (a least-squares solve)."""

@@ -8,7 +8,7 @@ the plain dataclass constructors perform no checks, so that
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,6 +25,14 @@ def _frozen(a) -> np.ndarray:
     out = np.array(a, dtype=np.float64, copy=True)
     out.setflags(write=False)
     return out
+
+
+def _fields_equal(self, other) -> bool:
+    """``__eq__`` for records that hold arrays: the same type, and every
+    field equal by ``np.array_equal``."""
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -68,10 +76,7 @@ class MetricSpace:
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
         object.__setattr__(self, "dist", _frozen(self.dist))
 
-    def __eq__(self, other):
-        if not isinstance(other, MetricSpace):
-            return NotImplemented
-        return self.labels == other.labels and np.array_equal(self.dist, other.dist)
+    __eq__ = _fields_equal
 
     @property
     def n(self) -> int:
@@ -119,10 +124,7 @@ class Dist:
     def __post_init__(self):
         object.__setattr__(self, "p", _frozen(self.p))
 
-    def __eq__(self, other):
-        if not isinstance(other, Dist):
-            return NotImplemented
-        return np.array_equal(self.p, other.p)
+    __eq__ = _fields_equal
 
     @property
     def n(self) -> int:
@@ -159,10 +161,7 @@ class Kernel:
     def __post_init__(self):
         object.__setattr__(self, "rows", _frozen(self.rows))
 
-    def __eq__(self, other):
-        if not isinstance(other, Kernel):
-            return NotImplemented
-        return np.array_equal(self.rows, other.rows)
+    __eq__ = _fields_equal
 
     @property
     def n(self) -> int:

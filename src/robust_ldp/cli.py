@@ -333,17 +333,14 @@ def cmd_simulate(args) -> int:
     variant = MODEL_NAMES[args.model]
     if args.worst_case:
         solved = tail_rate(spec, ball, variant)
-        if not solved.converged:
-            _emit(report_to_dict(solved), args)
-            return EXIT_NO_CONVERGENCE
-        play = solved.pi_hat
-        analytic = solved.value
-        played = "worst_case"
+        play, played = solved.pi_hat, "worst_case"
     else:
         solved = tail_rate(spec.with_radius(0.0), ball, variant)
-        play = spec.kernel
-        analytic = solved.value
-        played = "nominal"
+        play, played = spec.kernel, "nominal"
+    if not solved.converged:
+        _emit(report_to_dict(solved), args)
+        return EXIT_NO_CONVERGENCE
+    analytic = solved.value
     plan = SimPlan(spec, play, ball, parse_lengths(args.lengths, "--lengths"), args.paths, args.seed)
     estimate = simulate_paths(plan, threads=threads)
     verdict = compare_rates(analytic, estimate, args.rel_tol)

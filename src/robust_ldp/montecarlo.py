@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .chain_core import BallSet, ChainSpec, Kernel
+from .chain_core import BallSet, ChainSpec, Kernel, _fields_equal
 from .transport import in_ball
 
 # Fixed path-block size: the unit of work and of random-stream derivation.
@@ -94,20 +94,7 @@ class RateEstimate:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
-    def __eq__(self, other):
-        if not isinstance(other, RateEstimate):
-            return NotImplemented
-        return (
-            np.array_equal(self.lengths, other.lengths)
-            and np.array_equal(self.hits, other.hits)
-            and np.array_equal(self.p_hat, other.p_hat)
-            and self.slope == other.slope
-            and self.stderr == other.stderr
-            and np.array_equal(self.usable_lengths, other.usable_lengths)
-            and np.array_equal(self.fit_lengths, other.fit_lengths)
-            and self.usable == other.usable
-            and self.status == other.status
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True)

@@ -93,7 +93,7 @@ def _try_zero_rate(
             return _zero_rate_report(fixed_nu, pk)
     else:
         mu_star, _ = stationary(pk)
-        if ball is None or ball_membership(spec.space, mu_star, ball):
+        if ball_membership(spec.space, mu_star, ball):
             return _zero_rate_report(mu_star, pk)
     lp = poly.ball_lp()
     res = lp.solve(np.zeros(poly.count))
@@ -109,7 +109,7 @@ def _solve_rate(
     spec: ChainSpec, model: DivergenceModel, ball: BallSet | None, fixed_nu: Dist | None
 ) -> RateReport:
     """Minimize ``sum tau ln(tau / sigma)`` over the invariant-kernel
-    polytope: at a fixed law, or over all laws, optionally inside a ball."""
+    polytope: at a fixed law, or over the laws inside a ball."""
     poly = InvariantPolytope(spec, model.restrict_support, model.effective_radius, ball, fixed_nu)
     zero = _try_zero_rate(spec, poly, fixed_nu)
     if zero is not None:
@@ -118,10 +118,7 @@ def _solve_rate(
     prog = _entropic.EntropicProgram(poly.count, *poly.equalities(), poly.terms())
     sol = _entropic.solve(prog, z0=poly.start())
     if not sol.feasible or sol.status == "degenerate":
-        if fixed_nu is not None:
-            shown = fixed_nu
-        else:
-            shown = ball.center if ball is not None else spec.pi0
+        shown = fixed_nu if fixed_nu is not None else ball.center
         return _infinite_report(spec, shown, proven=not sol.feasible)
 
     nu = sol.z[poly.nu_ids] if fixed_nu is None else fixed_nu.p
@@ -166,11 +163,10 @@ def tail_rate(
 def minimal_rate(
     spec: ChainSpec, model: DivergenceModel | Variant = Variant.ROBUST_ENTROPY
 ) -> RateReport:
-    """Global minimum of the rate function (zero under the standing
-    assumptions, attained at any invariant law of a feasible kernel)."""
-    model = resolve_model(model, spec.radius)
-    _require_entropic(model)
-    return _solve_rate(spec, model, None, None)
+    """Global minimum of the rate function: zero, attained at any invariant
+    law of a feasible kernel, reported at the nominal stationary law."""
+    _require_entropic(resolve_model(model, spec.radius))
+    return _zero_rate_report(stationary(spec.kernel)[0], spec.kernel)
 
 
 def worst_case_kernel(

@@ -27,7 +27,7 @@ import numpy as np
 from . import transport
 from ._entropic import Terms
 from ._highs import linprog
-from .chain_core import MASS_ZERO, BallSet, ChainSpec, Dist, Kernel, _frozen
+from .chain_core import MASS_ZERO, BallSet, ChainSpec, Dist, Kernel, _fields_equal, _frozen
 from .divergence import DivergenceModel, Variant, coupling_start, resolve_model
 
 if TYPE_CHECKING:
@@ -70,10 +70,7 @@ class Envelope:
         for name in ("lo", "hi"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
 
-    def __eq__(self, other):
-        if not isinstance(other, Envelope):
-            return NotImplemented
-        return np.array_equal(self.lo, other.lo) and np.array_equal(self.hi, other.hi)
+    __eq__ = _fields_equal
 
     def contains(self, nu: Dist, atol: float = 1e-9) -> bool:
         return bool(np.all(nu.p >= self.lo - atol) and np.all(nu.p <= self.hi + atol))
@@ -328,7 +325,7 @@ class InvariantPolytope:
         couplings, at the fixed law or, for a free law in a target ball, at
         the row sums of a near-diagonal coupling to the ball's centre.
         None otherwise."""
-        if self.r == 0.0 or self.restrict or (self.fixed is None and self.ball is None):
+        if self.r == 0.0 or self.restrict:
             return None
         pk = self.spec.kernel.rows
         d = self.spec.space.dist

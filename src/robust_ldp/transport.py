@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._highs import linprog
-from .chain_core import BallSet, Dist, MetricSpace, _frozen
+from .chain_core import BallSet, Dist, MetricSpace, _fields_equal, _frozen
 
 # Closed-ball membership slack for float-boundary cases.
 BALL_ATOL = 1e-10
@@ -57,10 +57,7 @@ class TransportPlan:
     def __post_init__(self):
         object.__setattr__(self, "gamma", _frozen(self.gamma))
 
-    def __eq__(self, other):
-        if not isinstance(other, TransportPlan):
-            return NotImplemented
-        return self.cost == other.cost and np.array_equal(self.gamma, other.gamma)
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,10 +69,7 @@ class DualPotential:
     def __post_init__(self):
         object.__setattr__(self, "f", _frozen(self.f))
 
-    def __eq__(self, other):
-        if not isinstance(other, DualPotential):
-            return NotImplemented
-        return np.array_equal(self.f, other.f)
+    __eq__ = _fields_equal
 
 
 class W1Result(NamedTuple):

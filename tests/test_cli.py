@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from robust_ldp import Dist, Kernel, RateEstimate, RateReport, Residuals
+from robust_ldp import Dist, Kernel, RateEstimate, RateReport, Residuals, cli
 from robust_ldp.cli import InputError, main, parse_dist, parse_lengths, parse_report, report_to_dict
 from robust_ldp.set_chain import ConditionReport, Envelope
 
@@ -289,6 +290,26 @@ def test_simulate_unusable_exits_5(capsys, tmp_path):
     assert json.loads(out)["verdict"]["status"] == "insufficient data"
     rows = plot.read_text().strip().splitlines()
     assert rows[1].endswith("-inf") and rows[2].endswith("-inf")
+
+
+@pytest.mark.parametrize("extra", [[], ["--worst-case"]], ids=["nominal", "worst-case"])
+def test_simulate_unconverged_rate_exits_4(capsys, monkeypatch, tmp_path, example_chain_path, extra):
+    # The rate a simulation is compared with must have converged, whichever
+    # kernel is played; otherwise the report is printed and nothing is run.
+    real = cli.tail_rate
+
+    def unconverged(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(cli, "tail_rate", unconverged)
+    monkeypatch.setattr(cli, "simulate_paths", None)
+    plot = tmp_path / "plot.csv"
+    code, out, _ = run(capsys, [*SIMULATE[:1], "--chain", example_chain_path, *SIMULATE[1:],
+                                *extra, "--reproducible", "--plot", str(plot)])
+    assert code == 4
+    doc = json.loads(out)
+    assert doc["kind"] == "rate_report" and doc["converged"] is False
+    assert not plot.exists()
 
 
 def test_simulate_identity_chain_slope_zero(capsys, tmp_path):

@@ -97,6 +97,14 @@ def test_structured_step_matches_dense_assembly(recorded, example_spec, example_
         assert np.count_nonzero(dense[pins]) == terms.size
         assert np.array_equal(prog.b_eq[pins], Dist(BETA_NU).p)
 
+    # The closed-form capacitance inverse needs each term to hold at most
+    # one variable that another term also uses.
+    var = np.concatenate([terms.numer, terms.idx])
+    term = np.concatenate([np.arange(terms.size), terms.term])
+    pairs = np.unique(np.stack([var, term]), axis=1)
+    shared_var = np.bincount(pairs[0], minlength=prog.n_vars) > 1
+    assert np.bincount(pairs[1][shared_var[pairs[0]]], minlength=terms.size).max(initial=0) <= 1
+
     n = prog.n_vars
     a = prog.a_eq[_entropic._independent_rows(prog.a_eq)]
     newton = _entropic._Newton(a, terms)
@@ -117,10 +125,14 @@ def test_structured_step_matches_dense_assembly(recorded, example_spec, example_
         _assert_close(newton.step(g, rp), _dense_kkt(h, a.toarray(), g, rp))
 
 
+@pytest.mark.parametrize("shape", list(SHAPES))
 def test_least_squares_fallback_matches_dense_kkt(
-    recorded, example_spec, example_ball, monkeypatch
+    recorded, example_spec, example_ball, monkeypatch, shape
 ):
-    prog = _program(recorded, "r>0", example_spec, example_ball)
+    # The capacitance is inverted in closed form, so the m x m Schur
+    # complement is the only matrix factored; refused, it is solved through
+    # its eigendecomposition.
+    prog = _program(recorded, shape, example_spec, example_ball)
     a = prog.a_eq[_entropic._independent_rows(prog.a_eq)]
     newton = _entropic._Newton(a, prog.terms)
     rng = np.random.default_rng(5)
@@ -129,39 +141,15 @@ def test_least_squares_fallback_matches_dense_kkt(
     g = newton.linearize(z, 10.0)
     g_f, h_f = entropic_grad_hess(prog.terms, z, prog.n_vars)
     h = 10.0 * h_f + np.diag(1.0 / z**2)
+    refused = []
 
-    def refuse(*args, **kwargs):
+    def refuse(mat):
+        refused.append(mat.shape)
         raise LinAlgError("not positive definite")
 
     monkeypatch.setattr(_entropic, "cho_factor", refuse)
     _assert_close(newton.step(g, rp), _dense_kkt(h, a.toarray(), g, rp))
-
-
-def test_schur_fallback_matches_dense_kkt(recorded, example_spec, example_ball, monkeypatch):
-    # Only the m x m Schur complement is refused: the capacitance keeps its
-    # Cholesky factor and the Schur solve goes through the eigendecomposition.
-    prog = _program(recorded, "r>0", example_spec, example_ball)
-    a = prog.a_eq[_entropic._independent_rows(prog.a_eq)]
-    newton = _entropic._Newton(a, prog.terms)
-    assert newton.m != newton.k
-    rng = np.random.default_rng(6)
-    z = rng.uniform(0.05, 1.0, prog.n_vars)
-    rp = 1e-3 * rng.standard_normal(a.shape[0])
-    g = newton.linearize(z, 10.0)
-    g_f, h_f = entropic_grad_hess(prog.terms, z, prog.n_vars)
-    h = 10.0 * h_f + np.diag(1.0 / z**2)
-    real = _entropic.cho_factor
-    refused = []
-
-    def refuse_schur(mat):
-        if mat.shape[0] == newton.m:
-            refused.append(mat.shape)
-            raise LinAlgError("not positive definite")
-        return real(mat)
-
-    monkeypatch.setattr(_entropic, "cho_factor", refuse_schur)
-    _assert_close(newton.step(g, rp), _dense_kkt(h, a.toarray(), g, rp))
-    assert refused
+    assert refused == [(newton.m, newton.m)]
 
 
 def test_restrict_renumbers_and_keeps_the_objective(recorded, example_spec, example_ball):
@@ -215,3 +203,13 @@ def test_program_without_terms_reaches_the_analytic_center():
     sol = _entropic.solve(prog)
     assert sol.converged and terms.objective(sol.z) == 0.0
     np.testing.assert_allclose(sol.z, np.full(3, 1.0 / 3.0), atol=1e-9)
+
+
+def test_newton_refuses_a_term_with_two_shared_variables():
+    # Sherman-Morrison per shared variable needs each term to hold at most
+    # one of them; here both terms share z[2] and z[3].
+    terms = _entropic.Terms(
+        np.array([0, 1]), np.array([2, 3, 2, 3]), np.ones(4), np.array([0, 0, 1, 1]), np.zeros(2)
+    )
+    with pytest.raises(ValueError, match="more than one shared variable"):
+        _entropic._Newton(sp.csc_array(np.ones((1, 4))), terms)

@@ -361,7 +361,9 @@ def test_ac_rate_infinite_when_unreachable():
 def test_rate_vanishes_at_stationary_and_minimum(example_spec):
     mu_star, _ = stationary(example_spec.kernel)
     assert rate_at(example_spec, mu_star).value == 0.0
-    assert minimal_rate(example_spec).value == 0.0
+    minimum = minimal_rate(example_spec)
+    assert minimum.value == 0.0
+    assert minimum.nu_star == mu_star
 
 
 def test_indicator_models_are_rejected(example_spec, example_ball):
