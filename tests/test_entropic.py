@@ -125,22 +125,29 @@ def test_structured_step_matches_dense_assembly(recorded, example_spec, example_
         _assert_close(newton.step(g, rp), _dense_kkt(h, a.toarray(), g, rp))
 
 
-@pytest.mark.parametrize("shape", list(SHAPES))
-def test_least_squares_fallback_matches_dense_kkt(
-    recorded, example_spec, example_ball, monkeypatch, shape
-):
-    # The capacitance is inverted in closed form, so the m x m Schur
-    # complement is the only matrix factored; refused, it is solved through
-    # its eigendecomposition.
-    prog = _program(recorded, shape, example_spec, example_ball)
+def _fallback_case(recorded, shape, spec, ball, seed):
+    """One Newton step of a recorded program and its dense KKT solution."""
+    recorded.clear()
+    prog = _program(recorded, shape, spec, ball)
     a = prog.a_eq[_entropic._independent_rows(prog.a_eq)]
     newton = _entropic._Newton(a, prog.terms)
-    rng = np.random.default_rng(5)
+    rng = np.random.default_rng(seed)
     z = rng.uniform(0.05, 1.0, prog.n_vars)
     rp = 1e-3 * rng.standard_normal(a.shape[0])
     g = newton.linearize(z, 10.0)
     g_f, h_f = entropic_grad_hess(prog.terms, z, prog.n_vars)
     h = 10.0 * h_f + np.diag(1.0 / z**2)
+    return newton, g, rp, _dense_kkt(h, a.toarray(), g, rp)
+
+
+def test_least_squares_fallback_matches_dense_kkt(
+    recorded, example_spec, example_ball, monkeypatch
+):
+    # Every cho_factor is refused, on all four program shapes, so the
+    # shared-nu Sherman-Morrison path is also checked under the eigen
+    # fallback.  The capacitance is inverted in closed form, so the m x m
+    # Schur complement is the only matrix offered.
+    cases = [_fallback_case(recorded, s, example_spec, example_ball, 5) for s in SHAPES]
     refused = []
 
     def refuse(mat):
@@ -148,8 +155,30 @@ def test_least_squares_fallback_matches_dense_kkt(
         raise LinAlgError("not positive definite")
 
     monkeypatch.setattr(_entropic, "cho_factor", refuse)
-    _assert_close(newton.step(g, rp), _dense_kkt(h, a.toarray(), g, rp))
-    assert refused == [(newton.m, newton.m)]
+    for newton, g, rp, expected in cases:
+        refused.clear()
+        _assert_close(newton.step(g, rp), expected)
+        assert refused == [(newton.m, newton.m)]
+
+
+def test_schur_fallback_matches_dense_kkt(recorded, example_spec, example_ball, monkeypatch):
+    # Only the m x m Schur complement is refused and any other matrix is
+    # factored as usual: the Schur solve goes through the eigendecomposition,
+    # and no other matrix (no K x K capacitance) reaches cho_factor.
+    newton, g, rp, expected = _fallback_case(recorded, "r>0", example_spec, example_ball, 6)
+    assert newton.m != newton.k
+    real = _entropic.cho_factor
+    offered = []
+
+    def refuse_schur(mat):
+        offered.append(mat.shape)
+        if mat.shape[0] == newton.m:
+            raise LinAlgError("not positive definite")
+        return real(mat)
+
+    monkeypatch.setattr(_entropic, "cho_factor", refuse_schur)
+    _assert_close(newton.step(g, rp), expected)
+    assert offered == [(newton.m, newton.m)]
 
 
 def test_restrict_renumbers_and_keeps_the_objective(recorded, example_spec, example_ball):
