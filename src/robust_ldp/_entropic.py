@@ -39,9 +39,10 @@ n_vars x n_vars is ever built.
 
 The solve proceeds in two stages:
 
-1. coordinates that vanish on the whole feasible set are eliminated
-   (detected by LP probes) and a strictly feasible start is found, unless
-   the caller passes one;
+1. unless the caller passes a start, a phase-one LP maximizes the least
+   coordinate; coordinates its dual certifies to vanish on the whole
+   feasible set are eliminated and the LP run again, and its optimum is
+   the strictly feasible start;
 2. the central path of that working problem is followed to the target
    gap, loosely centred while the duality gap is above SAFE_GAP and
    tightly from there on.  No coordinate is fixed at zero: one that the
@@ -68,7 +69,7 @@ if TYPE_CHECKING:
 
 GAP_TOL = 1e-9
 CONVERGED_KKT = 1e-8
-FORCED_ZERO_TOL = 1e-10
+THIN = 1e-9  # phase one fixes at zero the coordinates its dual bounds by THIN
 SAFE_GAP = 3e-7  # gap below which each stage is centred tightly, not loosely
 MAX_NEWTON = 80
 # Newton decrement at which a stage counts as centred: loosely while the
@@ -317,9 +318,13 @@ def _inverse(mat: np.ndarray):
 
 
 def _phase_one(a: sp.csc_array, b: np.ndarray):
-    """Maximize the minimum coordinate over {A z = b, z >= 0}.
+    """Maximize the least coordinate delta over {A z = b, z >= 0}.
 
-    Returns (z, delta) or None when the polytope is empty.
+    Returns (z, delta, forced), or None when the polytope is empty.  At an
+    optimum delta <= THIN, the LP's equality multipliers y give
+    g = A^T y >= 0 with g z = b y for every feasible z (Farkas; Freund,
+    Roundy & Todd 1985), so z_i <= b y / g_i on the whole polytope.
+    ``forced`` marks the coordinates this bounds by THIN, with g_i > 1e-6.
     """
     import scipy.sparse as sp
 
@@ -341,19 +346,13 @@ def _phase_one(a: sp.csc_array, b: np.ndarray):
         return None
     if res.status != 0:  # pragma: no cover - bounded feasible LPs
         raise RuntimeError(f"phase-1 LP failed: {res.message}")
-    return res.x[:n], float(res.x[-1])
-
-
-def _max_coordinate(a: sp.csc_array, b: np.ndarray, i: int) -> float:
-    n = a.shape[1]
-    c = np.zeros(n)
-    c[i] = -1.0
-    res = linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
-    if res.status == 3:  # pragma: no cover - our polytopes are bounded
-        return math.inf
-    if res.status != 0:  # pragma: no cover
-        raise RuntimeError(f"coordinate probe LP failed: {res.message}")
-    return float(-res.fun)
+    z, delta = res.x[:n], float(res.x[-1])
+    forced = np.zeros(n, dtype=bool)
+    if delta <= THIN:
+        y = -res.eqlin.marginals
+        g = a.T @ y
+        forced = (g > 1e-6) & (max(float(b @ y), 0.0) <= THIN * g)
+    return z, delta, forced
 
 
 def _independent_rows(a: sp.csc_array) -> np.ndarray:
@@ -446,29 +445,22 @@ def solve(prog: EntropicProgram, z0: np.ndarray | None = None) -> EntropicSoluti
                 continue
             na = int(active.sum())
             if na == 0:
-                if b.size and np.max(np.abs(b)) > 1e-9:
+                if b.size and np.max(np.abs(b)) > THIN:
                     return EntropicSolution(None, 0.0, True, "infeasible")
                 z_start = np.zeros(0)
                 break
             probe = _phase_one(a_full[:, active], b)
             if probe is None:
                 return EntropicSolution(None, 0.0, True, "infeasible")
-            z_act, delta = probe
-            if delta > 1e-9:
-                z_start = z_act
-                break
-            local = np.where(active)[0]
-            forced = [
-                local[i]
-                for i in np.where(z_act < 1e-9)[0]
-                if _max_coordinate(a_full[:, active], b, int(i)) <= FORCED_ZERO_TOL
-            ]
-            if not forced:
-                if delta <= 0.0 or np.any(z_act <= 0.0):
-                    return EntropicSolution(None, 0.0, False, "degenerate")
-                z_start = z_act
-                break
-            active[forced] = False
+            z_act, delta, forced = probe
+            if forced.any():
+                active[np.flatnonzero(active)[forced]] = False
+                continue
+            # The barrier needs a start with every coordinate positive.
+            if delta <= 0.0 or z_act.min() <= 0.0:
+                return EntropicSolution(None, 0.0, False, "degenerate")
+            z_start = z_act
+            break
     else:
         z_start = z_start[active]
 

@@ -202,3 +202,66 @@ def slow_reducible_spec(radius=0.0, stay=(0.9, 0.95)):
     kernel[6:12, 6:12] = walk(6, stay[1])
     kernel[12, [0, 6]] = 0.5
     return ChainSpec.build(MetricSpace.discrete(13), np.full(13, 1 / 13), kernel, radius)
+
+
+def _sparse_kernel(rng, n, density, first):
+    """Random rows with about ``density`` of their entries kept and column 0
+    zeroed from row ``first`` on, so that state 0 is transient; a row left
+    empty goes to a state other than 0."""
+    rows = rng.random((n, n)) * (rng.random((n, n)) < density)
+    rows[first:, 0] = 0.0
+    for x in range(n):
+        if rows[x].sum() == 0.0:
+            rows[x, x % (n - 1) + 1] = 1.0
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+def transient_chains(count=60, seed=5):
+    """Chains on 3 to 6 states whose state 0 is transient (column 0 is
+    zero below row 0), radius 0.05, each with a state for a Dirac ball and
+    a random law: at r = 0 and under the AC variants, their programs force
+    coordinates to zero.  The discrete metric on odd trials and
+    ``|i - j| / n`` on even ones."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for trial in range(count):
+        n = int(rng.integers(3, 7))
+        labels = [f"s{i}" for i in range(n)]
+        if trial % 2:
+            space = MetricSpace.discrete(labels)
+        else:
+            i = np.arange(n)
+            space = MetricSpace.from_matrix(labels, np.abs(i[:, None] - i[None, :]) / n)
+        kernel = _sparse_kernel(rng, n, 0.5, 1)
+        spec = ChainSpec.build(space, np.full(n, 1.0 / n), kernel, 0.05)
+        out.append((spec, int(rng.integers(n)), Dist(rng.dirichlet(np.ones(n)))))
+    return out
+
+
+NEAR_TANGENT_FACTORS = (1 - 1e-9, 1.0, 1 + 1e-9, 1 + 1e-7, 1 + 1e-5, 1 + 1e-3)
+
+
+def near_tangent_balls(count=40, seed=11):
+    """Chains on 3 to 5 states whose state 0 no kernel row enters, with
+    Dirac balls at state 0 whose radius is kappa0 = min_y d(0, y) times
+    each of NEAR_TANGENT_FACTORS.  No law that leaves state 0 unvisited
+    lies closer to the centre, so where such a law is invariant for a
+    kernel on the nominal support (always on the discrete metric), the
+    balls touch the laws of finite rate.  The discrete metric on even
+    trials and ``|x_i - x_j|`` between sorted uniform points on odd ones;
+    radius 0.05."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for trial in range(count):
+        n = int(rng.integers(3, 6))
+        kernel = _sparse_kernel(rng, n, 0.6, 0)
+        labels = [f"s{i}" for i in range(n)]
+        if trial % 2 == 0:
+            space = MetricSpace.discrete(labels)
+        else:
+            pts = np.sort(rng.random(n))
+            space = MetricSpace.from_matrix(labels, np.abs(pts[:, None] - pts[None, :]))
+        spec = ChainSpec.build(space, np.full(n, 1.0 / n), kernel, 0.05)
+        kappa0 = float(space.dist[0, 1:].min())
+        out.append((spec, [BallSet(Dist.dirac(0, n), kappa0 * f) for f in NEAR_TANGENT_FACTORS]))
+    return out

@@ -448,6 +448,18 @@ def ball_sup_lp(p, h, dist, r, allow=None):
     return -float(res.fun)
 
 
+def max_coordinate_lp(a, b, i):
+    """The largest value of coordinate ``i`` over ``{A z = b, z >= 0}``, as
+    one HiGHS LP per coordinate."""
+    c = np.zeros(a.shape[1])
+    c[i] = -1.0
+    res = linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+    if res.status == 3:
+        return math.inf
+    assert res.status == 0, res.message
+    return -float(res.fun)
+
+
 def _invariant_lp(spec, model, c_of_nu):
     model = resolve_model(model, spec.radius)
     poly = InvariantPolytope(spec, model.restrict_support, model.effective_radius)

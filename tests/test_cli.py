@@ -343,6 +343,30 @@ def test_rate_ac_model(capsys, example_chain_path):
     assert doc["value"] == pytest.approx(0.0511, abs=0.002)
 
 
+TRANSIENT3_CHAIN = str(REPO_ROOT / "examples" / "transient3_chain.json")
+
+
+def test_rate_on_a_chain_with_a_transient_state(capsys):
+    # Three phase-one rounds certify forced zeros before the barrier starts.
+    code, out, _ = run(capsys, ["rate", "--chain", TRANSIENT3_CHAIN, "--center", "a",
+                                "--kappa", "0.25", "--model", "Entropy", "--reproducible"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["converged"] and doc["value"] == pytest.approx(0.0033668, abs=1e-7)
+
+
+@pytest.mark.parametrize("kappa", ["0.220000022", "0.2200000022"])
+@pytest.mark.parametrize("model", ["Entropy", "RobustEntropyAC"])
+def test_phase_one_start_with_a_zero_coordinate_exits_4(capsys, model, kappa):
+    # Just outside the tangent kappa = 0.22, phase one reports a positive
+    # least coordinate at a point with an exact zero, from which the barrier
+    # cannot start: a degenerate solve, exit 4, not an input error.
+    code, out, err = run(capsys, ["rate", "--chain", TRANSIENT3_CHAIN, "--center", "a",
+                                  "--kappa", kappa, "--model", model, "--reproducible"])
+    assert code == 4 and err == ""
+    assert json.loads(out)["converged"] is False
+
+
 def test_byte_identical_reproducible_output(capsys, example_chain_path):
     _, out1, _ = run(
         capsys,

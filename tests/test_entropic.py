@@ -12,10 +12,11 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError
 
-from robust_ldp import Dist, _entropic, beta, rate_at, tail_rate
+from robust_ldp import BallSet, Dist, _entropic, beta, rate_at, tail_rate
 from robust_ldp.divergence import Variant, entropy_model
 
-from oracles import entropic_grad_hess, entropic_objective
+from conftest import NEAR_TANGENT_FACTORS, near_tangent_balls, transient_chains
+from oracles import entropic_grad_hess, entropic_objective, max_coordinate_lp
 
 REL = 1e-9
 BETA_NU = np.array([0.1, 0.1, 0.8])
@@ -211,7 +212,7 @@ def test_centering_never_raises_the_equality_residual(
     prog = _program(recorded, "r>0", example_spec, example_ball)
     rows = _entropic._independent_rows(prog.a_eq)
     a, b = prog.a_eq[rows], prog.b_eq[rows]
-    z0, _ = _entropic._phase_one(a, b)
+    z0, _, _ = _entropic._phase_one(a, b)
     newton = _entropic._Newton(a, prog.terms)
     rng = np.random.default_rng(0)
     exact = _entropic._Newton.step
@@ -242,3 +243,52 @@ def test_newton_refuses_a_term_with_two_shared_variables():
     )
     with pytest.raises(ValueError, match="more than one shared variable"):
         _entropic._Newton(sp.csc_array(np.ones((1, 4))), terms)
+
+
+def _transient_solves():
+    """Solves without a closed-form start (r = 0, or AC) whose programs
+    force coordinates to zero: tail rates and fixed laws on transient
+    chains, and balls that reach the invariant laws by a share of 1e-9,
+    where phase one's optimum is positive but below THIN."""
+    models = (Variant.ENTROPY, Variant.ROBUST_ENTROPY_AC)
+    for spec, center, nu in transient_chains(count=12):
+        ball = BallSet(Dist.dirac(center, spec.space.n), 0.1)
+        for model in models:
+            yield tail_rate, spec, ball, model
+            yield rate_at, spec, nu, model
+    for spec, balls in near_tangent_balls():
+        for model in models:
+            yield tail_rate, spec, balls[NEAR_TANGENT_FACTORS.index(1 + 1e-9)], model
+
+
+def test_start_up_drops_only_certified_zeros(monkeypatch):
+    # Phase one runs until its dual certifies no coordinate, and it is the
+    # start-up's only LP: rounds + 1 calls.  Every coordinate a round drops
+    # has an LP maximum of at most THIN on that round's polytope.
+    calls, lps = [], []
+    real_phase_one, real_linprog = _entropic._phase_one, _entropic.linprog
+
+    def phase_one(a, b):
+        out = real_phase_one(a, b)
+        calls.append((a, b, out))
+        return out
+
+    def linprog(*args, **kwargs):
+        lps.append(args)
+        return real_linprog(*args, **kwargs)
+
+    monkeypatch.setattr(_entropic, "_phase_one", phase_one)
+    monkeypatch.setattr(_entropic, "linprog", linprog)
+    rounds = 0
+    for rate, spec, where, model in _transient_solves():
+        calls.clear()
+        lps.clear()
+        rate(spec, where, model)
+        certified = [out is not None and out[2].any() for _, _, out in calls]
+        assert certified == [True] * (len(calls) - 1) + [False] * bool(calls)
+        assert len(lps) == len(calls)
+        for a, b, (_, _, forced) in calls[:-1]:
+            for i in np.flatnonzero(forced):
+                assert max_coordinate_lp(a, b, i) <= _entropic.THIN
+        rounds += len(calls) - 1
+    assert rounds > 0

@@ -25,7 +25,13 @@ from robust_ldp import (
 )
 from robust_ldp.divergence import DivergenceModel, Variant
 
-from conftest import certificate_corpus, random_simplex, three_state_corpus, two_state_corpus
+from conftest import (
+    certificate_corpus,
+    near_tangent_balls,
+    random_simplex,
+    three_state_corpus,
+    two_state_corpus,
+)
 
 from oracles import kl_full, rate_two_state_grid
 
@@ -226,6 +232,38 @@ def test_transient_state_chain_never_claims_a_wrong_rate():
     assert report.value >= 0.0
     _assert_certified(spec, ac, ball, report)
     assert report.value == pytest.approx(0.098327, abs=1e-5)
+
+
+def test_near_tangent_balls_converge_or_report_degenerate():
+    # Dirac balls just inside, at and just outside the edge of the laws of
+    # finite rate on chains with a transient state.  Phase one can return a
+    # point with an exact zero coordinate, from which the barrier cannot
+    # start.  No exception may escape: every report converges, or it is the
+    # unproven infinite report of a degenerate solve.  RobustEntropy is
+    # left out, since at r > 0 it starts in closed form, not from phase one.
+    for spec, balls in near_tangent_balls(count=12):
+        for ball in balls:
+            for model in (Variant.ENTROPY, Variant.ROBUST_ENTROPY_AC):
+                report = tail_rate(spec, ball, model)
+                assert report.converged or (
+                    report.value == math.inf and report.residuals.kkt == math.inf
+                )
+
+
+def test_nearly_tangent_ball_on_a_transient_chain_is_solved():
+    # kappa is 3e-10 below the least distance 0.28 from state a to the
+    # invariant laws.  Phase one finds these rows feasible, while a second
+    # LP over the same rows can call them infeasible at HiGHS's tolerances,
+    # so the start-up must rest on phase one alone.  The rate at kappa =
+    # 0.28 is 0, so the value is 0 within LP tolerance.
+    space = MetricSpace.from_matrix(
+        ["a", "b", "c"], [[0, 0.28, 0.29], [0.28, 0, 0.01], [0.29, 0.01, 0]]
+    )
+    kernel = [[0, 0.22, 0.78], [0, 0.67, 0.33], [0, 0.75, 0.25]]
+    spec = ChainSpec.build(space, [0, 0, 1], kernel, 0.05)
+    report = tail_rate(spec, BallSet(Dist.dirac(0, 3), 0.2799999997), Variant.ROBUST_ENTROPY_AC)
+    assert report.converged
+    assert 0.0 <= report.value <= 1e-8
 
 
 @pytest.mark.parametrize(
