@@ -63,6 +63,7 @@ from numpy.linalg import LinAlgError
 
 from ._highs import linprog
 from ._lapack import cho_factor, cho_solve
+from .chain_core import _unique
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -142,9 +143,11 @@ class Terms:
     def objective(self, z: np.ndarray) -> float:
         u, v = self.numerators(z), self.denominators(z)
         on = u > 0.0
-        if np.any(v[on] <= 0.0):
+        if not on.all():
+            u, v = u[on], v[on]
+        if (v <= 0.0).any():
             return math.inf
-        return float(np.sum(u[on] * np.log(u[on] / v[on])))
+        return float((u * np.log(u / v)).sum())
 
     def restrict(self, keep: np.ndarray) -> Terms:
         """The terms over the kept coordinates, renumbered.  A term whose
@@ -208,7 +211,8 @@ class _Newton:
         if np.bincount(self.s_col[shared], minlength=k).max(initial=0) > 1:
             raise ValueError("a term holds more than one shared variable")
         self.lone, self.shared = np.flatnonzero(~shared), np.flatnonzero(shared)
-        self.shared_var, self.block = np.unique(self.s_row[shared], return_inverse=True)
+        self.lone_row, self.lone_col = self.s_row[self.lone], self.s_col[self.lone]
+        self.shared_var, self.block = _unique(self.s_row[shared])
         # CSC order: columns increasing, rows increasing within a column.
         coo = a.tocoo()
         self.a_row, self.a_col = coo.row.astype(np.int64), coo.col.astype(np.int64)
@@ -218,6 +222,9 @@ class _Newton:
                    self.a_col[p])
         p, q = _pairs(self.a_col, self.s_row, self.n)
         self.as_ = (self.a_row[p] * k + self.s_col[q], self.a_val[p], q, self.a_col[p])
+        # S's values: the numerators' ones, then the denominator entries,
+        # which ``linearize`` writes.
+        self.s_val = np.ones(self.s_row.size)
 
     def amul(self, x: np.ndarray) -> np.ndarray:
         return np.bincount(self.a_row, weights=self.a_val * x[self.a_col], minlength=self.m)
@@ -238,8 +245,9 @@ class _Newton:
         u, v = tm.numerators(z), tm.denominators(z)
         ratio = u / v
         grad = np.bincount(tm.numer, weights=np.log(ratio) + 1.0, minlength=self.n)
-        grad = grad - np.bincount(tm.idx, weights=ratio[tm.term] * tm.coef, minlength=self.n)
-        self.s_val = np.concatenate([np.ones(self.k), -ratio[tm.term] * tm.coef])
+        den = np.multiply(ratio[tm.term], tm.coef, out=self.s_val[self.k :])
+        grad = grad - np.bincount(tm.idx, weights=den, minlength=self.n)
+        np.negative(den, out=den)
         self.tw = t * (1.0 / u)
         self.dinv = z * z
         return t * grad - 1.0 / z
@@ -253,8 +261,8 @@ class _Newton:
         drift), where g is the gradient of phi, with two rounds of
         iterative refinement."""
         m, k, d, sv = self.m, self.k, self.dinv, self.s_val
-        e = self.lone
-        c = np.bincount(self.s_col[e], weights=sv[e] * sv[e] * d[self.s_row[e]], minlength=k)
+        se = sv[self.lone]
+        c = np.bincount(self.lone_col, weights=se * se * d[self.lone_row], minlength=k)
         # 1/c rounded as LAPACK's Cholesky solve of diag(c) rounds it (by the
         # reciprocal of the factor's diagonal, twice); a plain 1/c moves values.
         w = 1.0 / np.sqrt(c + 1.0 / self.tw)
@@ -290,12 +298,13 @@ class _Newton:
             lam = schur_solve(self.amul(hinv(r1)) - r2)
             return hinv(r1 - self.atmul(lam)), lam
 
-        dz, lam = solve_once(-g, rp)
+        ng = -g
+        dz, lam = solve_once(ng, rp)
         for _ in range(2):
-            r1 = -g - (self.hess_mul(dz) + self.atmul(lam))
+            r1 = ng - (self.hess_mul(dz) + self.atmul(lam))
             r2 = rp - self.amul(dz)
             ddz, dlam = solve_once(r1, r2)
-            if not (np.all(np.isfinite(ddz)) and np.all(np.isfinite(dlam))):
+            if not (np.isfinite(ddz).all() and np.isfinite(dlam).all()):
                 break
             dz = dz + ddz
             lam = lam + dlam
@@ -357,12 +366,13 @@ def _phase_one(a: sp.csc_array, b: np.ndarray):
 
 def _independent_rows(a: sp.csc_array) -> np.ndarray:
     """A maximal set of linearly independent rows, in increasing order, by
-    a pivoted QR of the dense transpose (the solver's only dense copy)."""
+    a pivoted QR of the dense transpose (the solver's only dense copy),
+    which never forms Q."""
     from scipy.linalg import qr
 
     if a.shape[0] == 0 or a.shape[1] == 0:
         return np.zeros(0, dtype=np.int64)
-    _, r, piv = qr(a.T.toarray(), mode="economic", pivoting=True)
+    r, piv = qr(a.T.toarray(), mode="r", pivoting=True)
     diag = np.abs(np.diag(r))
     if diag.size == 0 or diag[0] <= 0.0:
         return np.zeros(0, dtype=np.int64)
@@ -374,25 +384,27 @@ def _center(newton: _Newton, b, z, t, inner_tol, s):
     """Damped primal-dual Newton iteration toward the analytic center at
     parameter t, from the point z with bound multipliers s (1 / (t z) on
     the central path).  Returns the point, the Newton steps taken and the
-    multipliers ``mu / z`` at the point, mu = 1/t."""
+    multipliers ``mu / z`` at the point, mu = 1/t.  The line search's
+    barrier value and equality residual at the accepted point serve the
+    next step."""
     objective = newton.terms.objective
     mu = 1.0 / t
     iters = 0
+    phi0 = t * objective(z) - np.log(z).sum()
+    rp = b - newton.amul(z)
     for _ in range(MAX_NEWTON):
         g = newton.linearize(z, t)
         newton.dinv = z / (t * s)
-        rp = b - newton.amul(z)
         dz = newton.step(g, rp)
         lam2 = float(-g @ dz)
         iters += 1
-        prim = float(np.max(np.abs(rp))) if rp.size else 0.0
+        prim = float(np.abs(rp).max()) if rp.size else 0.0
         if not math.isfinite(lam2) or (lam2 / 2.0 <= inner_tol and prim <= 1e-12):
             break
         neg = dz < 0.0
         alpha = 1.0
-        if np.any(neg):
-            alpha = min(1.0, 0.995 * np.min(-z[neg] / dz[neg]))
-        phi0 = t * objective(z) - np.log(z).sum()
+        if neg.any():
+            alpha = min(1.0, 0.995 * (-z[neg] / dz[neg]).min())
         # Tiny uphill slack keeps pure feasibility-restoration steps viable.
         # At large t the KKT system is so ill-conditioned that a step can
         # miss A dz = rp by far more than rp; it is shortened until it does
@@ -401,7 +413,8 @@ def _center(newton: _Newton, b, z, t, inner_tol, s):
         while alpha > 1e-14:
             z_new = z + alpha * dz
             phi = t * objective(z_new) - np.log(z_new).sum()
-            drift = float(np.max(np.abs(b - newton.amul(z_new)), initial=0.0))
+            rp_new = b - newton.amul(z_new)
+            drift = float(np.abs(rp_new).max(initial=0.0))
             descent = phi <= phi0 - 0.25 * alpha * max(lam2, 0.0) + 1e-12 * max(1.0, abs(phi0))
             if descent and drift <= max(prim, 1e-12):
                 accepted = True
@@ -411,10 +424,10 @@ def _center(newton: _Newton, b, z, t, inner_tol, s):
             break  # no further progress representable
         ds = mu / z - s - (s / z) * dz
         neg = ds < 0.0
-        if np.any(neg):
-            alpha = min(alpha, 0.995 * np.min(-s[neg] / ds[neg]))
-        z = z_new
-        s = np.clip(s + alpha * ds, mu / (1e10 * z), 1e10 * mu / z)
+        if neg.any():
+            alpha = min(alpha, 0.995 * (-s[neg] / ds[neg]).min())
+        z, phi0, rp = z_new, phi, rp_new
+        s = np.minimum(np.maximum(s + alpha * ds, mu / (1e10 * z)), 1e10 * mu / z)
     return z, iters, mu / z
 
 

@@ -35,6 +35,23 @@ def _fields_equal(self, other) -> bool:
     return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
+def _unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of a 1-D array, or the distinct rows of a 2-D
+    one, in increasing (lexicographic) order, and the index of each input's
+    one among them: ``np.unique(keys, axis=0, return_inverse=True)``, which
+    imports ``numpy.ma`` at its first call."""
+    rows = keys[:, None] if keys.ndim == 1 else keys
+    # lexsort's last key is the primary one
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    first = np.empty(order.size, dtype=bool)
+    first[:1] = True
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = first.cumsum() - 1
+    return keys[order[first]], inverse
+
+
 @dataclass(frozen=True)
 class Violation:
     """A single invariant violation, reported as data rather than an error.

@@ -282,7 +282,7 @@ def cmd_rate(args) -> int:
     ball = parse_ball(args, spec.space)
     report = tail_rate(spec, ball, MODEL_NAMES[args.model])
     payload = report_to_dict(report)
-    payload["nonvacuous"] = bool(report.value > 1e-6)
+    payload["nonvacuous"] = bool(report.value > 0.0)
     payload["sharp"] = (
         sharpness_check(spec, report)
         if report.converged and math.isfinite(report.value)

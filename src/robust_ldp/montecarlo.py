@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .chain_core import BallSet, ChainSpec, Kernel, _fields_equal
+from .chain_core import BallSet, ChainSpec, Kernel, _fields_equal, _unique
 from .transport import in_ball
 
 # Fixed path-block size: the unit of work and of random-stream derivation.
@@ -162,7 +162,7 @@ class _Walk:
         self.pi0_cum = np.cumsum(plan.spec.pi0.p)
         self.pi0_cum[-1] = 1.0
         cum = np.cumsum(plan.play_kernel.rows, axis=1)[:, :-1]
-        self.breaks = np.unique(cum[cum < 1.0])
+        self.breaks, _ = _unique(cum[cum < 1.0])
         intervals = self.breaks.size + 1
         # codes, table entries and the -1 mark share the smallest signed type
         self.dtype = np.min_scalar_type(-intervals * ns)

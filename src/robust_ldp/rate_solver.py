@@ -14,10 +14,14 @@ with objective ``sum tau ln(tau / sigma)``, which is jointly convex.  The
 tail-rate variant additionally frees ``nu`` inside a Wasserstein ball via
 one more coupling.  The variable layout is ``set_chain.InvariantPolytope``,
 which also builds the objective's terms and the rows of the zero-rate LP.
-Zero rates are detected exactly before any barrier iteration runs: from
+Zero rates are detected exactly before any barrier iteration runs, from
 the nominal kernel first (the fixed law is invariant, or the stationary
-law passes ``ball_membership``), and by a feasibility LP only when that
-fails.
+law passes ``ball_membership``).  Otherwise, for a Dirac centre s the
+rate vanishes iff kappa >= kappa*, the least ``<d(., s), nu>`` over the
+laws that admit an invariant kernel of zero divergence (the paper's law
+of large numbers), which ``set_chain._robust_gain`` computes by policy
+iteration; a centre with more than one support state, or a fixed law,
+takes a feasibility LP.
 """
 
 from __future__ import annotations
@@ -30,12 +34,16 @@ import numpy as np
 from . import _entropic
 from .chain_core import MASS_ZERO, BallSet, ChainSpec, Dist, Kernel
 from .divergence import DivergenceModel, Variant, rel_entropy, resolve_model
-from .set_chain import NU_MASS_TOL, InvariantPolytope, stationary
+from .set_chain import NU_MASS_TOL, InvariantPolytope, _robust_gain, stationary
 from .transport import ball_membership
 
 # Support threshold for solver outputs (barrier iterates park vanishing
 # coordinates at the complementarity scale, well below this).
 SUPPORT_TOL = 1e-7
+
+# A Dirac-centre rate is zero when kappa* exceeds kappa by at most this,
+# the primal feasibility tolerance of the zero-rate LP (set_chain.LP_OPTIONS).
+ZERO_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -78,6 +86,25 @@ def _infinite_report(spec: ChainSpec, nu: Dist, proven: bool) -> RateReport:
     return RateReport(math.inf, nu, spec.kernel, spec.kernel, Residuals(res, res, 0.0), proven)
 
 
+def _dirac_threshold(
+    spec: ChainSpec, restrict: bool, radius: float, s: int
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """kappa*, the least ``<d(., s), nu>`` over the laws nu that admit an
+    invariant kernel with every visited row within W1 ``radius`` of the
+    nominal one (and inside its support when ``restrict``), with such a
+    law and the kernel."""
+    variant = Variant.BALL_INDICATOR_AC if restrict else Variant.BALL_INDICATOR
+    twin = DivergenceModel(variant, radius)
+    values, laws, kernels = _robust_gain(spec, twin, -spec.space.dist[:, s : s + 1])
+    return -float(values[0]), laws[0], kernels[0]
+
+
+def _dirac_center(ball: BallSet) -> int | None:
+    """The centre's one support state, or None."""
+    support = np.flatnonzero(ball.center.support())
+    return int(support[0]) if support.size == 1 else None
+
+
 def _try_zero_rate(
     spec: ChainSpec, poly: InvariantPolytope, fixed_nu: Dist | None
 ) -> RateReport | None:
@@ -85,7 +112,9 @@ def _try_zero_rate(
     an invariant kernel with every visited row inside the W1 ball.
 
     The nominal kernel itself is tried first so that zero-rate reports
-    carry the canonical certificate q = pi whenever possible."""
+    carry the canonical certificate q = pi whenever possible.  A Dirac
+    centre is then decided by kappa*; the zero report carries its law and
+    kernel, with nominal rows where the law has no mass."""
     pk = spec.kernel
     ball = poly.ball
     if fixed_nu is not None:
@@ -95,6 +124,14 @@ def _try_zero_rate(
         mu_star, _ = stationary(pk)
         if ball_membership(spec.space, mu_star, ball):
             return _zero_rate_report(mu_star, pk)
+        s = _dirac_center(ball)
+        if s is not None:
+            kappa_star, nu, q = _dirac_threshold(spec, poly.restrict, poly.r, s)
+            if kappa_star > ball.kappa + ZERO_TOL:
+                return None
+            nu = nu + 0.0  # + 0.0 turns -0.0 into 0.0
+            q = np.where((nu > NU_MASS_TOL)[:, None], q, pk.rows)
+            return _zero_rate_report(Dist(nu), Kernel(q))
     lp = poly.ball_lp()
     res = lp.solve(np.zeros(poly.count))
     if res.status == 2:
@@ -144,6 +181,13 @@ def rate_at(
     return _solve_rate(spec, model, None, nu)
 
 
+def _check_ball(spec: ChainSpec, ball: BallSet):
+    if ball.center.n != spec.space.n:
+        raise ValueError("dimension mismatch")
+    if ball.kappa < 0.0:
+        raise ValueError("ball radius must be nonnegative")
+
+
 def tail_rate(
     spec: ChainSpec, ball: BallSet, model: DivergenceModel | Variant = Variant.ROBUST_ENTROPY
 ) -> RateReport:
@@ -151,10 +195,7 @@ def tail_rate(
     in the closed ball: the minimum of the rate function over the ball."""
     model = resolve_model(model, spec.radius)
     _require_entropic(model)
-    if ball.center.n != spec.space.n:
-        raise ValueError("dimension mismatch")
-    if ball.kappa < 0.0:
-        raise ValueError("ball radius must be nonnegative")
+    _check_ball(spec, ball)
     if ball.kappa == 0.0:
         return rate_at(spec, ball.center, model)
     return _solve_rate(spec, model, ball, None)
@@ -186,11 +227,19 @@ def nonvacuous(
     spec: ChainSpec, ball: BallSet, model: DivergenceModel | Variant = Variant.ROBUST_ENTROPY
 ) -> bool:
     """Whether the tail bound carries information: a strictly positive
-    worst-case rate."""
+    worst-case rate.  For a Dirac centre that is kappa < kappa*, decided
+    without a rate solve."""
+    model = resolve_model(model, spec.radius)
+    _require_entropic(model)
+    _check_ball(spec, ball)
+    s = _dirac_center(ball)
+    if s is not None:
+        kappa_star, _, _ = _dirac_threshold(spec, model.restrict_support, model.effective_radius, s)
+        return kappa_star > ball.kappa + ZERO_TOL
     report = tail_rate(spec, ball, model)
     if not report.converged:
         raise RuntimeError("tail-rate solve did not converge")
-    return report.value > 1e-6
+    return report.value > 0.0
 
 
 def sharpness_check(spec: ChainSpec, report: RateReport) -> bool:

@@ -27,7 +27,16 @@ import numpy as np
 from . import transport
 from ._entropic import Terms
 from ._highs import linprog
-from .chain_core import MASS_ZERO, BallSet, ChainSpec, Dist, Kernel, _fields_equal, _frozen
+from .chain_core import (
+    MASS_ZERO,
+    BallSet,
+    ChainSpec,
+    Dist,
+    Kernel,
+    _fields_equal,
+    _frozen,
+    _unique,
+)
 from .divergence import DivergenceModel, Variant, coupling_start, resolve_model
 
 if TYPE_CHECKING:
@@ -415,7 +424,7 @@ def envelope(
         raise ValueError("threads must be >= 1")
     n = spec.space.n
     eye = np.eye(n)
-    values, _ = _robust_gain(spec, model, np.hstack([-eye, eye]))
+    values, _, _ = _robust_gain(spec, model, np.hstack([-eye, eye]))
     # + 0.0 turns -0.0 into 0.0
     lo = np.clip(-values[:n], 0.0, 1.0) + 0.0
     hi = np.clip(values[n:], 0.0, 1.0) + 0.0
@@ -435,16 +444,17 @@ def robust_functional_bound(
         raise ValueError("weights length does not match the state count")
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
-    values, laws = _robust_gain(spec, model, w[:, None])
+    values, laws, _ = _robust_gain(spec, model, w[:, None])
     # + 0.0 turns -0.0 into 0.0
     return float(values[0]) + 0.0, Dist(laws[0] + 0.0)
 
 
 def _robust_gain(
     spec: ChainSpec, model: DivergenceModel | Variant, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``max <w[:, c], nu>`` over the invariant-ball set for each column c,
-    and a law attaining it.
+    a law attaining it, and the greedy kernel (rows in the balls) that
+    leaves that law invariant on one of its closed classes.
 
     This is the largest optimal gain of the average-reward MDP whose action
     at x is a row in the ball around pi(x), with ``T v = w + ball_sup(pi,
@@ -470,7 +480,7 @@ def _robust_gain(
     weight = np.full(k, GAIN_WEIGHT)
     policy = np.zeros((k, n, n))
     lower, upper = np.full(k, -np.inf), np.full(k, np.inf)
-    laws = np.zeros((k, n))
+    laws, kernels = np.zeros((k, n)), np.zeros((k, n, n))
     cols = np.arange(k)
     for sweep in range(MAX_SWEEPS):
         tv, q = transport.ball_sup(pk, v[:, cols], d, r, allow)
@@ -485,10 +495,11 @@ def _robust_gain(
         better = value > lower[cols]
         lower[cols[better]] = value[better]
         laws[cols[better]] = nu[better]
+        kernels[cols[better]] = q[better]
         policy[cols] = q
         open_ = upper[cols] - lower[cols] > tol[cols]
         if not open_.any():
-            return lower, laws
+            return lower, laws, kernels
         g, h = _evaluate(q[open_], w[:, cols[open_]], home[open_])
         cols = cols[open_]
         if sweep:
@@ -518,7 +529,7 @@ def _best_class(q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     members = both[col, first]
     size = members.sum(axis=1)
     laws = np.zeros((col.size, n))
-    for s in np.unique(size):
+    for s in _unique(size)[0]:
         pick = np.flatnonzero(size == s)
         idx = np.nonzero(members[pick])[1].reshape(pick.size, s)
         c = col[pick]

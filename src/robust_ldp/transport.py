@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._highs import linprog
-from .chain_core import BallSet, Dist, MetricSpace, _fields_equal, _frozen
+from .chain_core import BallSet, Dist, MetricSpace, _fields_equal, _frozen, _unique
 
 # Closed-ball membership slack for float-boundary cases.
 BALL_ATOL = 1e-10
@@ -188,8 +188,7 @@ def ball_sup(
     if allow is None:
         masks, group = np.ones((1, n), dtype=bool), np.zeros(m, dtype=np.intp)
     else:
-        masks, group = np.unique(np.asarray(allow, dtype=bool), axis=0, return_inverse=True)
-        group = group.ravel()
+        masks, group = _unique(np.asarray(allow, dtype=bool))
     # Hulls, one per (mask, source with mass under it, column), by gift
     # wrapping: the next vertex has the steepest rising slope, the farthest
     # among ties, so that the slopes of a hull strictly fall.  Triples are

@@ -119,6 +119,18 @@ def test_rate_command_whole_simplex_ball(capsys, example_chain_path):
     assert doc["nonvacuous"] is False
 
 
+def test_rate_command_small_positive_rate_is_nonvacuous(capsys, example_chain_path):
+    # kappa is 1.4e-4 below kappa* = 35/79, where the rate is about 1.5e-8.
+    code, out, _ = run(
+        capsys,
+        ["rate", "--chain", example_chain_path, "--center", "3", "--kappa", "0.4429", "--reproducible"],
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert 0.0 < doc["value"] < 1e-6
+    assert doc["nonvacuous"] is True
+
+
 def test_rate_out_file(capsys, tmp_path, example_chain_path):
     out_file = tmp_path / "report.json"
     code, out, _ = run(
@@ -157,24 +169,24 @@ from robust_ldp import _entropic, set_chain, transport
 from robust_ldp import BallSet, Dist, SimPlan, Variant, robust_functional_bound, simulate_paths
 
 
-def scipy_modules():
-    return sorted(name for name in sys.modules if name.startswith("scipy"))
+def lazy_modules():  # scipy and numpy.ma
+    return sorted(name for name in sys.modules if name.startswith("scipy") or name == "numpy.ma")
 
 
 chain = sys.argv[1]
-loaded = {"import": scipy_modules()}
+loaded = {"import": lazy_modules()}
 codes = []
 with contextlib.redirect_stdout(io.StringIO()):
     codes.append(cli.main(["check", "--chain", chain, "--reproducible"]))
-    loaded["check"] = scipy_modules()
+    loaded["check"] = lazy_modules()
     codes.append(cli.main(["envelope", "--chain", chain, "--reproducible"]))
-    loaded["envelope"] = scipy_modules()
+    loaded["envelope"] = lazy_modules()
 spec = cli.load_chain_file(chain)
 bound, _ = robust_functional_bound(spec, Variant.BALL_INDICATOR, [0.0, 0.0, 1.0])
-loaded["robust_functional_bound"] = scipy_modules()
+loaded["robust_functional_bound"] = lazy_modules()
 ball = BallSet(Dist.dirac(2, 3), 0.2)
 estimate = simulate_paths(SimPlan(spec, spec.kernel, ball, (10, 20), 2000, 7), threads=1)
-loaded["simulate_paths"] = scipy_modules()
+loaded["simulate_paths"] = lazy_modules()
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     codes.append(cli.main(["rate", "--chain", chain, "--center", "3", "--kappa", "0.2", "--reproducible"]))
@@ -198,8 +210,9 @@ print(json.dumps({
 def test_lp_solver_loads_at_the_first_lp(example_chain_path):
     """In a fresh interpreter, importing the package, running check and
     envelope, a functional bound and a Dirac-centre simulation load no
-    scipy module; the first rate program loads scipy's sparse, linalg and
-    LP modules and reports the worked robust rate."""
+    scipy module and no ``numpy.ma``; the first rate program, a
+    Dirac-centre one, loads scipy's sparse and linalg modules but not its
+    LP solver, and reports the worked robust rate."""
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", LAZY_LP_PROBE, example_chain_path],
@@ -208,7 +221,7 @@ def test_lp_solver_loads_at_the_first_lp(example_chain_path):
     doc = json.loads(proc.stdout)
     numpy_only = ("import", "check", "envelope", "robust_functional_bound", "simulate_paths")
     assert {k: doc["loaded"][k] for k in numpy_only} == {k: [] for k in numpy_only}
-    assert doc["loaded"]["rate"] == ["scipy.linalg", "scipy.optimize", "scipy.sparse"]
+    assert doc["loaded"]["rate"] == ["scipy.linalg", "scipy.sparse"]
     assert doc["codes"] == [0, 0, 0, 0]
     assert 0.0 < doc["bound"] < 1.0
     assert doc["lengths"] == [10, 20]

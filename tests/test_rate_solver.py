@@ -23,17 +23,23 @@ from robust_ldp import (
     w1,
     worst_case_kernel,
 )
-from robust_ldp.divergence import DivergenceModel, Variant
+from robust_ldp import _entropic, set_chain, transport
+from robust_ldp.divergence import DivergenceModel, Variant, resolve_model
+from robust_ldp.rate_solver import ZERO_TOL, _dirac_threshold
+from robust_ldp.set_chain import NU_MASS_TOL
 
 from conftest import (
     certificate_corpus,
     near_tangent_balls,
+    random_kernel,
+    random_metric,
     random_simplex,
     three_state_corpus,
+    transient_chains,
     two_state_corpus,
 )
 
-from oracles import kl_full, rate_two_state_grid
+from oracles import functional_bound_lp, kl_full, rate_two_state_grid
 
 
 # Three chains of the benchmark corpus (``bench/corpus.py`` ``rate_items``),
@@ -416,3 +422,109 @@ def test_kappa_zero_delegates_to_center(example_spec):
     by_ball = tail_rate(example_spec, BallSet(center, 0.0))
     direct = rate_at(example_spec, center)
     assert by_ball.value == pytest.approx(direct.value, abs=1e-9)
+
+
+RATE_MODELS = (Variant.ROBUST_ENTROPY, Variant.ROBUST_ENTROPY_AC, Variant.ENTROPY)
+
+
+def dirac_threshold_chains(seed=3434):
+    """(spec, centre state) pairs: one random chain per n = 3...8 and metric,
+    six transient chains and six near-tangent ones, all at r = 0.05."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for n in range(3, 9):
+        for discrete in (True, False):
+            spec = ChainSpec.build(
+                random_metric(rng, n, discrete), random_simplex(rng, n).p,
+                random_kernel(rng, n).rows, 0.05,
+            )
+            out.append((spec, int(rng.integers(n))))
+    out += [(spec, s) for spec, s, _ in transient_chains(count=6)]
+    out += [(spec, 0) for spec, _ in near_tangent_balls(count=6)]
+    return out
+
+
+def kappa_star(spec, model, s):
+    model = resolve_model(model, spec.radius)
+    return _dirac_threshold(spec, model.restrict_support, model.effective_radius, s)
+
+
+def test_dirac_threshold_matches_lp_and_decides_zero_rates():
+    # kappa* from policy iteration equals the least <d(., s), nu> over the
+    # LP's invariant-ball polytope, and the Dirac-ball rate vanishes just
+    # above it and is positive just below it.
+    for spec, s in dirac_threshold_chains():
+        n = spec.space.n
+        for model in RATE_MODELS:
+            value, nu, _ = kappa_star(spec, model, s)
+            resolved = resolve_model(model, spec.radius)
+            ac = resolved.restrict_support
+            twin = DivergenceModel(
+                Variant.BALL_INDICATOR_AC if ac else Variant.BALL_INDICATOR, resolved.effective_radius
+            )
+            lp, _ = functional_bound_lp(spec, twin, -spec.space.dist[:, s])
+            assert value == pytest.approx(-lp, abs=1e-8)
+            assert value == pytest.approx(float(spec.space.dist[:, s] @ nu), abs=1e-12)
+            above = BallSet(Dist.dirac(s, n), value * (1 + 1e-6))
+            assert tail_rate(spec, above, model).value == 0.0
+            assert not nonvacuous(spec, above, model)
+            if value > 0.0:
+                below = BallSet(Dist.dirac(s, n), value * (1 - 1e-3))
+                assert tail_rate(spec, below, model).value > 0.0
+                assert nonvacuous(spec, below, model)
+
+
+def test_dirac_zero_reports_certify():
+    # A zero report read off the policy iteration holds a law within kappa
+    # of the centre and a kernel that leaves it invariant, each visited row
+    # within r of the nominal one (and inside its support under AC), and
+    # the nominal row at every unvisited state.
+    for spec, s in dirac_threshold_chains():
+        n, pk, d = spec.space.n, spec.kernel.rows, spec.space.dist
+        for model in RATE_MODELS:
+            resolved = resolve_model(model, spec.radius)
+            value, _, _ = kappa_star(spec, model, s)
+            for kappa in (value, value * (1 + 1e-6) + 1e-9):
+                report = tail_rate(spec, BallSet(Dist.dirac(s, n), kappa), model)
+                nu, q = report.nu_star.p, report.q_star.rows
+                assert report.value == 0.0 and report.converged
+                assert nu.min() >= 0.0 and nu.sum() == pytest.approx(1.0, abs=1e-12)
+                assert float(d[:, s] @ nu) <= kappa + ZERO_TOL
+                assert np.abs(nu @ q - nu).sum() <= 1e-9
+                assert report.residuals.invariance <= 1e-9
+                for x in range(n):
+                    if nu[x] <= NU_MASS_TOL:
+                        assert np.array_equal(q[x], pk[x])
+                        continue
+                    gap = w1(spec.space, Dist(q[x]), Dist(pk[x])).value
+                    assert gap <= resolved.effective_radius + 1e-9
+                    if resolved.restrict_support:
+                        assert np.all(q[x][pk[x] == 0.0] == 0.0)
+
+
+def test_positive_dirac_rates_solve_no_lp(monkeypatch):
+    # RobustEntropy starts the barrier in closed form, and its Dirac-centre
+    # zero test is the policy iteration, so a positive rate needs no LP.
+    def no_lp(*args, **kwargs):
+        raise AssertionError("a linear program was solved")
+
+    for module in (set_chain, _entropic, transport):
+        monkeypatch.setattr(module, "linprog", no_lp)
+    for spec, s in dirac_threshold_chains()[:12]:
+        value, _, _ = kappa_star(spec, Variant.ROBUST_ENTROPY, s)
+        report = tail_rate(spec, BallSet(Dist.dirac(s, spec.space.n), 0.5 * value))
+        assert report.converged and report.value > 0.0
+
+
+def test_nonvacuous_on_both_sides_of_kappa_star(example_spec):
+    # On the worked example kappa* = 35/79: just below it the rate is
+    # 7.6e-9, positive, so the bound is not vacuous, which a 1e-6
+    # threshold on the rate got wrong.
+    value, _, _ = kappa_star(example_spec, Variant.ROBUST_ENTROPY, 2)
+    assert value == pytest.approx(35 / 79, abs=1e-12)
+    below = BallSet(Dist.dirac(2, 3), value - 1e-4)
+    assert 0.0 < tail_rate(example_spec, below).value < 1e-6
+    assert nonvacuous(example_spec, below)
+    above = BallSet(Dist.dirac(2, 3), value + 1e-9)
+    assert tail_rate(example_spec, above).value == 0.0
+    assert not nonvacuous(example_spec, above)
