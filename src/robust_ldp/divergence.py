@@ -44,8 +44,8 @@ class DivergenceModel:
     radius: float = 0.0
 
     def __post_init__(self):
-        if self.radius < 0.0:
-            raise ValueError("radius must be nonnegative")
+        if not (math.isfinite(self.radius) and self.radius >= 0.0):
+            raise ValueError(f"radius must be a finite number >= 0, got {self.radius!r}")
 
     @property
     def effective_radius(self) -> float:
@@ -54,7 +54,7 @@ class DivergenceModel:
     @property
     def restrict_support(self) -> bool:
         """True when reference support must not grow (AC variants, or a
-        degenerate ball)."""
+        degenerate ball); ``_support_mask`` turns it into a chain's mask."""
         return (
             self.variant in (Variant.ROBUST_ENTROPY_AC, Variant.BALL_INDICATOR_AC)
             or self.effective_radius == 0.0
@@ -63,6 +63,12 @@ class DivergenceModel:
     @property
     def is_indicator(self) -> bool:
         return self.variant in (Variant.BALL_INDICATOR, Variant.BALL_INDICATOR_AC)
+
+
+def _support_mask(model: DivergenceModel, kernel: Kernel) -> tuple[float, np.ndarray | None]:
+    """The model's radius, and its support mask on the kernel, or None if that excludes nothing."""
+    allow = kernel.rows > MASS_ZERO
+    return model.effective_radius, allow if model.restrict_support and not allow.all() else None
 
 
 def entropy_model(radius: float, ac: bool = False) -> DivergenceModel:

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _entropic
-from .chain_core import MASS_ZERO, BallSet, ChainSpec, Dist, Kernel
-from .divergence import DivergenceModel, Variant, rel_entropy, resolve_model
+from .chain_core import MASS_ZERO, BallSet, ChainSpec, Dist, Kernel, ValidationError, Violation
+from .divergence import DivergenceModel, Variant, _support_mask, rel_entropy, resolve_model
 from .set_chain import NU_MASS_TOL, InvariantPolytope, _robust_gain, stationary
 from .transport import ball_membership
 
@@ -87,15 +87,11 @@ def _infinite_report(spec: ChainSpec, nu: Dist, proven: bool) -> RateReport:
 
 
 def _dirac_threshold(
-    spec: ChainSpec, restrict: bool, radius: float, s: int
+    spec: ChainSpec, radius: float, allow: np.ndarray | None, s: int
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """kappa*, the least ``<d(., s), nu>`` over the laws nu that admit an
-    invariant kernel with every visited row within W1 ``radius`` of the
-    nominal one (and inside its support when ``restrict``), with such a
-    law and the kernel."""
-    variant = Variant.BALL_INDICATOR_AC if restrict else Variant.BALL_INDICATOR
-    twin = DivergenceModel(variant, radius)
-    values, laws, kernels = _robust_gain(spec, twin, -spec.space.dist[:, s : s + 1])
+    """kappa*, the least ``<d(., s), nu>`` over the invariant-ball set of
+    ``radius`` and ``allow``, with a law attaining it and its kernel."""
+    values, laws, kernels = _robust_gain(spec, radius, allow, -spec.space.dist[:, s : s + 1])
     return -float(values[0]), laws[0], kernels[0]
 
 
@@ -126,7 +122,7 @@ def _try_zero_rate(
             return _zero_rate_report(mu_star, pk)
         s = _dirac_center(ball)
         if s is not None:
-            kappa_star, nu, q = _dirac_threshold(spec, poly.restrict, poly.r, s)
+            kappa_star, nu, q = _dirac_threshold(spec, poly.r, poly.allow, s)
             if kappa_star > ball.kappa + ZERO_TOL:
                 return None
             nu = nu + 0.0  # + 0.0 turns -0.0 into 0.0
@@ -147,7 +143,8 @@ def _solve_rate(
 ) -> RateReport:
     """Minimize ``sum tau ln(tau / sigma)`` over the invariant-kernel
     polytope: at a fixed law, or over the laws inside a ball."""
-    poly = InvariantPolytope(spec, model.restrict_support, model.effective_radius, ball, fixed_nu)
+    radius, allow = _support_mask(model, spec.kernel)
+    poly = InvariantPolytope(spec, allow, radius, ball, fixed_nu)
     zero = _try_zero_rate(spec, poly, fixed_nu)
     if zero is not None:
         return zero
@@ -178,14 +175,16 @@ def rate_at(
     _require_entropic(model)
     if nu.n != spec.space.n:
         raise ValueError("dimension mismatch")
+    Dist.from_values(nu.p, "nu")  # a ValidationError unless nu is a law
     return _solve_rate(spec, model, None, nu)
 
 
 def _check_ball(spec: ChainSpec, ball: BallSet):
     if ball.center.n != spec.space.n:
         raise ValueError("dimension mismatch")
-    if ball.kappa < 0.0:
-        raise ValueError("ball radius must be nonnegative")
+    Dist.from_values(ball.center.p, "center")
+    if not (math.isfinite(ball.kappa) and ball.kappa >= 0.0):
+        raise ValidationError([Violation("kappa", "ball radius must be a finite number >= 0")])
 
 
 def tail_rate(
@@ -234,7 +233,7 @@ def nonvacuous(
     _check_ball(spec, ball)
     s = _dirac_center(ball)
     if s is not None:
-        kappa_star, _, _ = _dirac_threshold(spec, model.restrict_support, model.effective_radius, s)
+        kappa_star, _, _ = _dirac_threshold(spec, *_support_mask(model, spec.kernel), s)
         return kappa_star > ball.kappa + ZERO_TOL
     report = tail_rate(spec, ball, model)
     if not report.converged:

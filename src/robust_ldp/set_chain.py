@@ -37,7 +37,7 @@ from .chain_core import (
     _frozen,
     _unique,
 )
-from .divergence import DivergenceModel, Variant, coupling_start, resolve_model
+from .divergence import DivergenceModel, Variant, _support_mask, coupling_start, resolve_model
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -167,10 +167,11 @@ class InvariantPolytope:
 
     The polytope holds the laws nu that admit a kernel q with nu q = nu and
     every visited row q(x) within W1 radius ``radius`` of the nominal row
-    pi(x).  In scaled variables, tau = diag(nu) q on the support pattern,
-    and for r > 0 each row has a coupling gamma^x of nu[x] pi(x) to the
-    worst-case row mass sigma[x] whose cost plus a slack is r nu[x]; at
-    r = 0, sigma[x] = nu[x] pi(x).  Variables are numbered tau (x-major),
+    pi(x), and zero off the mask ``allow``, if any.  In scaled variables,
+    tau = diag(nu) q on ``reach`` (``allow``, or all pairs), and for r > 0
+    each row has a coupling gamma^x of nu[x] pi(x) to the worst-case row
+    mass sigma[x] whose cost plus a slack is r nu[x]; at r = 0,
+    sigma[x] = nu[x] pi(x).  Variables are numbered tau (x-major),
     gamma^x (x, then the source i in the support of pi(x), then the target
     j), the slacks, nu, and, with a target ball, the coupling g0 of nu to
     the ball's centre and the slack s0 of its budget.  Index arrays hold -1
@@ -181,14 +182,14 @@ class InvariantPolytope:
     def __init__(
         self,
         spec: ChainSpec,
-        restrict: bool,
+        allow: np.ndarray | None,
         radius: float,
         ball: BallSet | None = None,
         fixed_nu: Dist | None = None,
     ):
         n = spec.space.n
         self.spec = spec
-        self.restrict = restrict
+        self.allow = allow
         self.r = radius
         self.ball = ball
         self.fixed = None if fixed_nu is None else fixed_nu.p
@@ -197,7 +198,7 @@ class InvariantPolytope:
         self.live = spec.kernel.rows > MASS_ZERO
         on = np.zeros(n, dtype=bool)
         on[self.states] = True
-        self.reach = self.live if restrict else np.ones((n, n), dtype=bool)
+        self.reach = np.ones((n, n), dtype=bool) if allow is None else allow
         self.tau_ids = self._number(on[:, None] & on[None, :] & self.reach)
         if radius > 0.0:
             # gamma^x ships mass from i in the support of pi(x) to j in reach
@@ -330,11 +331,11 @@ class InvariantPolytope:
 
     def start(self) -> np.ndarray | None:
         """A strictly feasible point where one is known in closed form: with
-        r > 0 and free supports, the product occupation plus near-diagonal
+        r > 0 and no mask, the product occupation plus near-diagonal
         couplings, at the fixed law or, for a free law in a target ball, at
         the row sums of a near-diagonal coupling to the ball's centre.
-        None otherwise."""
-        if self.r == 0.0 or self.restrict:
+        None at r = 0 or under a mask."""
+        if self.r == 0.0 or self.allow is not None:
             return None
         pk = self.spec.kernel.rows
         d = self.spec.space.dist
@@ -407,9 +408,12 @@ class InvariantBallLP:
         return Dist(nu / nu.sum()), Kernel(q)
 
 
-def _check_indicator(model: DivergenceModel):
-    if model.variant not in (Variant.BALL_INDICATOR, Variant.BALL_INDICATOR_AC):
+def _indicator_ball(spec: ChainSpec, model: DivergenceModel | Variant):
+    """The radius and mask of a ball-indicator model on the chain."""
+    model = resolve_model(model, spec.radius)
+    if not model.is_indicator:
         raise ValueError("envelope computations use the ball-indicator divergences")
+    return _support_mask(model, spec.kernel)
 
 
 def envelope(
@@ -424,7 +428,7 @@ def envelope(
         raise ValueError("threads must be >= 1")
     n = spec.space.n
     eye = np.eye(n)
-    values, _, _ = _robust_gain(spec, model, np.hstack([-eye, eye]))
+    values, _, _ = _robust_gain(spec, *_indicator_ball(spec, model), np.hstack([-eye, eye]))
     # + 0.0 turns -0.0 into 0.0
     lo = np.clip(-values[:n], 0.0, 1.0) + 0.0
     hi = np.clip(values[n:], 0.0, 1.0) + 0.0
@@ -444,17 +448,17 @@ def robust_functional_bound(
         raise ValueError("weights length does not match the state count")
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
-    values, laws, _ = _robust_gain(spec, model, w[:, None])
+    values, laws, _ = _robust_gain(spec, *_indicator_ball(spec, model), w[:, None])
     # + 0.0 turns -0.0 into 0.0
     return float(values[0]) + 0.0, Dist(laws[0] + 0.0)
 
 
 def _robust_gain(
-    spec: ChainSpec, model: DivergenceModel | Variant, w: np.ndarray
+    spec: ChainSpec, r: float, allow: np.ndarray | None, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``max <w[:, c], nu>`` over the invariant-ball set for each column c,
-    a law attaining it, and the greedy kernel (rows in the balls) that
-    leaves that law invariant on one of its closed classes.
+    """``max <w[:, c], nu>`` over the invariant-ball set of radius ``r`` and
+    mask ``allow`` for each column c, a law attaining it, and the greedy
+    kernel (rows in the balls) that leaves it invariant on a closed class.
 
     This is the largest optimal gain of the average-reward MDP whose action
     at x is a row in the ball around pi(x), with ``T v = w + ball_sup(pi,
@@ -469,11 +473,7 @@ def _robust_gain(
     so its column's weight M, GAIN_WEIGHT at first, grows tenfold.  A
     value is returned only from a bracket of width BRACKET_TOL.
     """
-    model = resolve_model(model, spec.radius)
-    _check_indicator(model)
     pk, d = spec.kernel.rows, spec.space.dist
-    r = model.effective_radius
-    allow = pk > MASS_ZERO if model.restrict_support else None
     n, k = w.shape
     tol = BRACKET_TOL * np.maximum(1.0, np.abs(w).max(axis=0))
     v, gain = np.zeros((n, k)), np.zeros((n, k))

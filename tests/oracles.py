@@ -14,7 +14,7 @@ from numpy.random import Generator, Philox
 from scipy.optimize import linprog
 
 from robust_ldp.chain_core import MASS_ZERO, Violation
-from robust_ldp.divergence import resolve_model
+from robust_ldp.divergence import _support_mask, resolve_model
 from robust_ldp.set_chain import InvariantPolytope
 
 
@@ -351,7 +351,7 @@ def dense_polytope_rows(poly, ball_rows=False):
 
     if poly.r > 0.0:
         rows_x = {x: np.where(pk[x] > MASS_ZERO)[0] for x in poly.states}
-        cols_x = {x: rows_x[x] if poly.restrict else np.arange(n) for x in poly.states}
+        cols_x = {x: rows_x[x] if poly.allow is not None else np.arange(n) for x in poly.states}
         gam_x = {x: poly.gam_ids[x][np.ix_(rows_x[x], cols_x[x])] for x in poly.states}
     if poly.nu_ids is not None:
         eq(poly.nu_ids, 1.0, b=1.0)
@@ -462,7 +462,8 @@ def max_coordinate_lp(a, b, i):
 
 def _invariant_lp(spec, model, c_of_nu):
     model = resolve_model(model, spec.radius)
-    poly = InvariantPolytope(spec, model.restrict_support, model.effective_radius)
+    radius, allow = _support_mask(model, spec.kernel)
+    poly = InvariantPolytope(spec, allow, radius)
     lp = poly.ball_lp()
     c = np.zeros(poly.count)
     c[poly.nu_ids] = c_of_nu

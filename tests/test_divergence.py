@@ -3,7 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from robust_ldp import Dist, MetricSpace, beta, beta_chain, chain_joint, rel_entropy, w1
+from robust_ldp import (
+    Dist,
+    MetricSpace,
+    beta,
+    beta_chain,
+    chain_joint,
+    envelope,
+    rel_entropy,
+    tail_rate,
+    w1,
+)
 from robust_ldp.divergence import DivergenceModel, Variant, entropy_model
 
 from conftest import random_kernel, random_simplex, two_state_corpus
@@ -227,3 +237,16 @@ def test_beta_chain_shape_validation(example_spec):
 def test_model_rejects_negative_radius():
     with pytest.raises(ValueError):
         DivergenceModel(Variant.ROBUST_ENTROPY, -0.1)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+def test_model_rejects_non_finite_radius(example_spec, example_ball, radius):
+    # Every entry point resolves its model through DivergenceModel, so a
+    # chain whose radius is not a finite number >= 0 is rejected there.
+    with pytest.raises(ValueError, match="finite"):
+        DivergenceModel(Variant.ROBUST_ENTROPY, radius)
+    spec = example_spec.with_radius(radius)
+    with pytest.raises(ValueError, match="finite"):
+        tail_rate(spec, example_ball)
+    with pytest.raises(ValueError, match="finite"):
+        envelope(spec)

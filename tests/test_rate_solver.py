@@ -12,11 +12,13 @@ from robust_ldp import (
     ChainSpec,
     Dist,
     MetricSpace,
+    ValidationError,
     ball_membership,
     minimal_rate,
     nonvacuous,
     rate_at,
     rel_entropy,
+    robust_functional_bound,
     sharpness_check,
     stationary,
     tail_rate,
@@ -24,7 +26,7 @@ from robust_ldp import (
     worst_case_kernel,
 )
 from robust_ldp import _entropic, set_chain, transport
-from robust_ldp.divergence import DivergenceModel, Variant, resolve_model
+from robust_ldp.divergence import DivergenceModel, Variant, _support_mask, resolve_model
 from robust_ldp.rate_solver import ZERO_TOL, _dirac_threshold
 from robust_ldp.set_chain import NU_MASS_TOL
 
@@ -446,7 +448,7 @@ def dirac_threshold_chains(seed=3434):
 
 def kappa_star(spec, model, s):
     model = resolve_model(model, spec.radius)
-    return _dirac_threshold(spec, model.restrict_support, model.effective_radius, s)
+    return _dirac_threshold(spec, *_support_mask(model, spec.kernel), s)
 
 
 def test_dirac_threshold_matches_lp_and_decides_zero_rates():
@@ -528,3 +530,107 @@ def test_nonvacuous_on_both_sides_of_kappa_star(example_spec):
     above = BallSet(Dist.dirac(2, 3), value + 1e-9)
     assert tail_rate(example_spec, above).value == 0.0
     assert not nonvacuous(example_spec, above)
+
+
+def test_ac_on_full_support_is_the_robust_entropy_program(example_spec, example_ball, monkeypatch):
+    # On a kernel with full support the AC restriction excludes nothing, so
+    # RobustEntropyAC reports equal the RobustEntropy ones, bit for bit, and
+    # need no phase-one LP.
+    def no_lp(*args, **kwargs):
+        raise AssertionError("a linear program was solved")
+
+    monkeypatch.setattr(_entropic, "linprog", no_lp)
+    # The worked example's pi(3, 1) = 0, so AC still starts from phase one.
+    with pytest.raises(AssertionError, match="linear program"):
+        tail_rate(example_spec, example_ball, Variant.ROBUST_ENTROPY_AC)
+    chains = dirac_threshold_chains()[:12]
+    rng = np.random.default_rng(3636)
+    for spec, _ in chains:
+        assert np.all(spec.kernel.rows > 0.0)
+        # rate_at keeps its zero-rate LP in set_chain, the same for both.
+        nu = random_simplex(rng, spec.space.n)
+        plain = rate_at(spec, nu, Variant.ROBUST_ENTROPY)
+        assert plain.converged and plain.value > 0.0
+        assert rate_at(spec, nu, Variant.ROBUST_ENTROPY_AC) == plain
+    for module in (set_chain, transport):
+        monkeypatch.setattr(module, "linprog", no_lp)
+    for spec, s in chains:
+        value, _, _ = kappa_star(spec, Variant.ROBUST_ENTROPY, s)
+        for kappa in (0.5 * value, value * (1 + 1e-6)):
+            ball = BallSet(Dist.dirac(s, spec.space.n), kappa)
+            plain = tail_rate(spec, ball, Variant.ROBUST_ENTROPY)
+            assert plain.converged
+            assert tail_rate(spec, ball, Variant.ROBUST_ENTROPY_AC) == plain
+
+
+def lln_rate_pairs(seed=2020):
+    """(spec, weights) pairs: three random weight vectors on one random
+    chain per n in (3, 5, 8, 12) and metric, and one on each of 20
+    transient chains."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for n in (3, 5, 8, 12):
+        for discrete in (True, False):
+            spec = ChainSpec.build(
+                random_metric(rng, n, discrete), random_simplex(rng, n).p,
+                random_kernel(rng, n).rows, 0.05,
+            )
+            out += [(spec, rng.uniform(-1, 1, n)) for _ in range(3)]
+    for spec, _, _ in transient_chains(count=20):
+        out.append((spec, rng.uniform(-1, 1, spec.space.n)))
+    return out
+
+
+def test_rate_vanishes_at_the_law_of_large_numbers_bound():
+    # The law that robust_functional_bound returns admits an invariant
+    # kernel inside the balls, so the rate function is exactly zero there,
+    # for the plain and the AC pair of models.
+    pairs = (
+        (Variant.BALL_INDICATOR, Variant.ROBUST_ENTROPY),
+        (Variant.BALL_INDICATOR_AC, Variant.ROBUST_ENTROPY_AC),
+    )
+    for spec, w in lln_rate_pairs():
+        for indicator, entropic in pairs:
+            _, law = robust_functional_bound(spec, indicator, w)
+            report = rate_at(spec, law, entropic)
+            assert report.value == 0.0 and report.converged
+
+
+BAD_BALLS = {
+    "kappa-nan": ([0.0, 0.0, 1.0], math.nan, "kappa"),
+    "kappa-inf": ([0.0, 0.0, 1.0], math.inf, "kappa"),
+    "kappa-negative": ([0.0, 0.0, 1.0], -0.1, "kappa"),
+    "mixed-kappa-nan": ([0.2, 0.3, 0.5], math.nan, "kappa"),
+    "center-nan": ([math.nan, 0.5, 0.5], 0.2, "center[0]"),
+    "center-negative": ([-0.5, 0.5, 1.0], 0.2, "center[0]"),
+    "center-mass": ([0.0, 0.0, 2.0], 0.2, "center"),
+    "center-mass-half": ([0.5, 0.5, 0.5], 0.2, "center"),
+}
+ENTRY_POINTS = {
+    "tail_rate": tail_rate,
+    "nonvacuous": nonvacuous,
+    "worst_case_kernel": worst_case_kernel,
+    "rate_at": lambda spec, ball: rate_at(spec, ball.center),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, case",
+    [
+        (entry, case)
+        for entry in ENTRY_POINTS
+        for case in BAD_BALLS
+        if entry != "rate_at" or case.startswith("center")
+    ],
+)
+def test_bad_ball_or_law_is_rejected(example_spec, entry, case):
+    # A radius that is not a finite number >= 0, or a centre (for rate_at,
+    # a law) that is not a probability vector, is an error naming its
+    # path, never a rate reported as converged.
+    center, kappa, path = BAD_BALLS[case]
+    if entry == "rate_at":
+        path = path.replace("center", "nu")
+    ball = BallSet(Dist(np.array(center)), kappa)
+    with pytest.raises(ValidationError) as info:
+        ENTRY_POINTS[entry](example_spec, ball)
+    assert info.value.violations[0].path == path

@@ -18,7 +18,8 @@ from robust_ldp import (
     stationary,
     w1,
 )
-from robust_ldp.divergence import DivergenceModel, Variant
+from robust_ldp.chain_core import MASS_ZERO
+from robust_ldp.divergence import DivergenceModel, Variant, _support_mask
 from robust_ldp import set_chain, transport
 from robust_ldp.set_chain import LP_OPTIONS, InvariantPolytope
 
@@ -196,7 +197,7 @@ def test_extremes_attained_by_feasible_laws(example_spec):
     the kernel read off the fixed-law LP certifies it: invariant, with
     every visited row inside its ball (and, for AC, the nominal support)."""
     value, argmax = robust_functional_bound(example_spec, Variant.BALL_INDICATOR, [0, 0, 1])
-    lp = InvariantPolytope(example_spec, False, example_spec.radius, fixed_nu=argmax).ball_lp()
+    lp = InvariantPolytope(example_spec, None, example_spec.radius, fixed_nu=argmax).ball_lp()
     res = lp.solve(np.zeros(lp.polytope.count))
     assert res.status == 0
     assert argmax.p[2] == pytest.approx(value, abs=1e-9)
@@ -206,8 +207,8 @@ def test_extremes_attained_by_feasible_laws(example_spec):
     for spec, ac in cases:
         model = Variant.BALL_INDICATOR_AC if ac else Variant.BALL_INDICATOR
         _, argmax = robust_functional_bound(spec, model, rng.uniform(-1, 1, spec.space.n))
-        restrict = DivergenceModel(model, spec.radius).restrict_support
-        lp = InvariantPolytope(spec, restrict, spec.radius, fixed_nu=argmax).ball_lp()
+        _, allow = _support_mask(DivergenceModel(model, spec.radius), spec.kernel)
+        lp = InvariantPolytope(spec, allow, spec.radius, fixed_nu=argmax).ball_lp()
         res = lp.solve(np.zeros(lp.polytope.count))
         assert res.status == 0
         nu, q = argmax.p, lp.extract(res.x)[1].rows
@@ -228,10 +229,10 @@ def test_sparse_rows_match_dense_oracle():
     law."""
     for spec, ball, fixed in polytope_chains():
         for radius in (0.0, spec.radius):
-            for restrict in (False, True):
+            for allow in (None, spec.kernel.rows > MASS_ZERO):
                 for target in (None, ball):
                     for law in (None, fixed):
-                        poly = InvariantPolytope(spec, restrict, radius, target, law)
+                        poly = InvariantPolytope(spec, allow, radius, target, law)
                         terms = astuple(poly.terms())
                         for got, want in zip(terms, polytope_terms_by_pairs(poly), strict=True):
                             assert got.dtype == want.dtype
@@ -264,7 +265,8 @@ def test_lp_answers_match_dense_oracle_bitwise():
         for model in (Variant.BALL_INDICATOR, Variant.BALL_INDICATOR_AC):
             for s in (spec.with_radius(0.0), spec) if n <= 5 else (spec,):
                 resolved = DivergenceModel(model, s.radius)
-                poly = InvariantPolytope(s, resolved.restrict_support, resolved.effective_radius)
+                radius, allow = _support_mask(resolved, s.kernel)
+                poly = InvariantPolytope(s, allow, radius)
                 lp = poly.ball_lp()
                 objectives = []
                 for x in range(n):
@@ -396,7 +398,7 @@ def test_lp_rows_stay_small_at_n20():
     spec = ChainSpec.build(space, np.full(20, 0.05), random_kernel(rng, 20), 0.05)
     tracemalloc.start()
     try:
-        lp = InvariantPolytope(spec, False, spec.radius).ball_lp()
+        lp = InvariantPolytope(spec, None, spec.radius).ball_lp()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
