@@ -8,6 +8,7 @@ the plain dataclass constructors perform no checks, so that
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Sequence
 
@@ -231,6 +232,18 @@ class BallSet:
     kappa: float
 
 
+def _check_ball(ball: BallSet, n: int):
+    """A ``ValidationError`` naming ``center`` or ``kappa`` unless the ball's
+    centre is a law and its radius a finite number >= 0."""
+    if ball.center.n != n:
+        raise ValueError("dimension mismatch")
+    violations = validate_dist(ball.center, "center")
+    if violations:
+        raise ValidationError(violations)
+    if not (math.isfinite(ball.kappa) and ball.kappa >= 0.0):
+        raise ValidationError([Violation("kappa", "ball radius must be a finite number >= 0")])
+
+
 def validate_metric(space: MetricSpace) -> list[Violation]:
     out: list[Violation] = []
     seen: set[str] = set()
@@ -282,11 +295,11 @@ def validate_dist(dist: Dist, path: str = "$.pi0") -> list[Violation]:
     if p.ndim != 1:
         out.append(Violation(path, f"expected a vector, got shape {p.shape}"))
         return out
-    for i, v in enumerate(p):
-        if not np.isfinite(v):
+    for i in np.flatnonzero(~(p >= 0.0) | np.isinf(p)):  # NaN fails p >= 0
+        if not np.isfinite(p[i]):
             out.append(Violation(f"{path}[{i}]", "non-finite mass"))
-        elif v < 0.0:
-            out.append(Violation(f"{path}[{i}]", "negative mass", float(-v)))
+        else:
+            out.append(Violation(f"{path}[{i}]", "negative mass", float(-p[i])))
     gap = abs(float(p.sum()) - 1.0)
     if gap > PROB_ATOL:
         out.append(Violation(path, "mass does not sum to 1", gap))

@@ -33,7 +33,16 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .chain_core import BallSet, ChainSpec, Kernel, _fields_equal, _unique
+from .chain_core import (
+    BallSet,
+    ChainSpec,
+    Kernel,
+    ValidationError,
+    Violation,
+    _check_ball,
+    _fields_equal,
+    _unique,
+)
 from .transport import in_ball
 
 # Fixed path-block size: the unit of work and of random-stream derivation.
@@ -137,8 +146,16 @@ def _validate(plan: SimPlan):
     if not 0 <= plan.seed < 2**64:
         raise ValueError("seed must be an unsigned 64-bit integer")
     n = plan.spec.space.n
-    if plan.play_kernel.n != n or plan.ball.center.n != n:
+    if plan.play_kernel.n != n:
         raise ValueError("dimension mismatch")
+    _check_ball(plan.ball, n)
+    # Row sums stay unchecked: converged worst-case rows can miss 1 by ~1e-4.
+    rows = plan.play_kernel.rows
+    bad = np.flatnonzero(~(np.isfinite(rows) & (rows >= 0.0)).all(axis=1))
+    if bad.size:
+        raise ValidationError(
+            [Violation(f"play_kernel[{x}]", "entries must be finite numbers >= 0") for x in bad]
+        )
 
 
 class _Walk:
@@ -297,6 +314,8 @@ def compare_rates(analytic: float, estimate: RateEstimate, rel_tol: float) -> Ra
     """Pass iff the fitted slope matches the analytic rate within the
     relative tolerance plus two standard errors; a zero analytic rate is
     matched by an absolute criterion instead."""
+    if not (math.isfinite(rel_tol) and rel_tol >= 0.0):
+        raise ValidationError([Violation("rel_tol", "must be a finite number >= 0")])
     if not estimate.usable:
         return RateVerdict("insufficient data", None, analytic, None, None, None)
     slope = estimate.slope

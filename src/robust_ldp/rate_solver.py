@@ -10,10 +10,10 @@ scaled variables
     sigma[x, y]   = nu[x] mu_hat_x[y]      (worst-case row mass)
     gamma^x       coupling of nu[x] pi(x) to sigma[x]  (cost <= r nu[x])
 
-with objective ``sum tau ln(tau / sigma)``, which is jointly convex.  The
-tail-rate variant additionally frees ``nu`` inside a Wasserstein ball via
-one more coupling.  The variable layout is ``set_chain.InvariantPolytope``,
-which also builds the objective's terms and the rows of the zero-rate LP.
+with objective ``sum tau ln(tau / sigma)``, which is jointly convex; the
+tail rate frees ``nu`` in a Wasserstein ball by one more coupling.
+``set_chain.InvariantPolytope`` lays out the variables and builds the
+terms, the zero-rate LP's rows and, unless masked, the barrier's start.
 Zero rates are detected exactly before any barrier iteration runs, from
 the nominal kernel first (the fixed law is invariant, or the stationary
 law passes ``ball_membership``).  Otherwise, for a Dirac centre s the
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _entropic
-from .chain_core import MASS_ZERO, BallSet, ChainSpec, Dist, Kernel, ValidationError, Violation
+from .chain_core import MASS_ZERO, BallSet, ChainSpec, Dist, Kernel, _check_ball
 from .divergence import DivergenceModel, Variant, _support_mask, rel_entropy, resolve_model
 from .set_chain import NU_MASS_TOL, InvariantPolytope, _robust_gain, stationary
 from .transport import ball_membership
@@ -179,14 +179,6 @@ def rate_at(
     return _solve_rate(spec, model, None, nu)
 
 
-def _check_ball(spec: ChainSpec, ball: BallSet):
-    if ball.center.n != spec.space.n:
-        raise ValueError("dimension mismatch")
-    Dist.from_values(ball.center.p, "center")
-    if not (math.isfinite(ball.kappa) and ball.kappa >= 0.0):
-        raise ValidationError([Violation("kappa", "ball radius must be a finite number >= 0")])
-
-
 def tail_rate(
     spec: ChainSpec, ball: BallSet, model: DivergenceModel | Variant = Variant.ROBUST_ENTROPY
 ) -> RateReport:
@@ -194,7 +186,7 @@ def tail_rate(
     in the closed ball: the minimum of the rate function over the ball."""
     model = resolve_model(model, spec.radius)
     _require_entropic(model)
-    _check_ball(spec, ball)
+    _check_ball(ball, spec.space.n)
     if ball.kappa == 0.0:
         return rate_at(spec, ball.center, model)
     return _solve_rate(spec, model, ball, None)
@@ -230,7 +222,7 @@ def nonvacuous(
     without a rate solve."""
     model = resolve_model(model, spec.radius)
     _require_entropic(model)
-    _check_ball(spec, ball)
+    _check_ball(ball, spec.space.n)
     s = _dirac_center(ball)
     if s is not None:
         kappa_star, _, _ = _dirac_threshold(spec, *_support_mask(model, spec.kernel), s)

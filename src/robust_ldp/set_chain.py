@@ -330,12 +330,12 @@ class InvariantPolytope:
         return Terms(numer, self.nu_ids[tx[term]], p[term], term, zero)
 
     def start(self) -> np.ndarray | None:
-        """A strictly feasible point where one is known in closed form: with
-        r > 0 and no mask, the product occupation plus near-diagonal
-        couplings, at the fixed law or, for a free law in a target ball, at
-        the row sums of a near-diagonal coupling to the ball's centre.
-        None at r = 0 or under a mask."""
-        if self.r == 0.0 or self.allow is not None:
+        """A strictly feasible point in closed form unless there is a mask:
+        the product occupation nu x nu, plus near-diagonal couplings for
+        r > 0, at the fixed law or, for a free law in a target ball, at the
+        row sums of a near-diagonal coupling to the ball's centre.  None
+        under a mask, where phase one finds the start."""
+        if self.allow is not None:
             return None
         pk = self.spec.kernel.rows
         d = self.spec.space.dist
@@ -354,6 +354,8 @@ class InvariantPolytope:
             nu = self.fixed
         for x, y in self.taus():
             z0[self.tau_ids[x, y]] = nu[x] * nu[y]
+        if self.r == 0.0:
+            return z0
         rows = {x: np.where(self.live[x])[0] for x in self.states}
         spread = max(float(pk[x, rows[x]] @ d[rows[x]].mean(axis=1)) for x in self.states)
         for x in self.states:

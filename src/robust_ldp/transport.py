@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._highs import linprog
-from .chain_core import BallSet, Dist, MetricSpace, _fields_equal, _frozen, _unique
+from .chain_core import BallSet, Dist, MetricSpace, _check_ball, _fields_equal, _frozen, _unique
 
 # Closed-ball membership slack for float-boundary cases.
 BALL_ATOL = 1e-10
@@ -96,6 +96,8 @@ def w1(space: MetricSpace, mu: Dist, nu: Dist) -> W1Result:
     n = space.n
     if mu.n != n or nu.n != n:
         raise ValueError("distribution dimensions do not match the space")
+    for name, law in (("mu", mu), ("nu", nu)):
+        Dist.from_values(law.p, name)  # a ValidationError unless it is a law
     d = space.dist
     res = linprog(
         d.ravel(),
@@ -125,6 +127,7 @@ def dual_value(potential: DualPotential, mu: Dist, nu: Dist) -> float:
 
 def ball_membership(space: MetricSpace, nu: Dist, ball: BallSet) -> bool:
     """Closed-ball test: true iff ``w1(nu, center) <= kappa`` up to slack."""
+    _check_ball(ball, space.n)
     return bool(in_ball(space, nu.p[None, :], ball)[0])
 
 

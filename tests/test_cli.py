@@ -194,6 +194,12 @@ rate = json.loads(out.getvalue())["value"]
 loaded["rate"] = [name for name in ("scipy.linalg", "scipy.optimize", "scipy.sparse") if name in sys.modules]
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
+    codes.append(cli.main(["rate", "--chain", sys.argv[2], "--center", "e", "--kappa", "0.25",
+                           "--model", "Entropy", "--reproducible"]))
+entropy_rate = json.loads(out.getvalue())["value"]
+loaded["entropy_rate"] = "scipy.optimize" in sys.modules
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
     codes.append(cli.main(["wasserstein", "--chain", chain, "--mu", "1", "--nu", "3", "--reproducible"]))
 print(json.dumps({
     "loaded": loaded,
@@ -201,6 +207,7 @@ print(json.dumps({
     "bound": bound,
     "lengths": estimate.lengths.tolist(),
     "rate": rate,
+    "entropy_rate": entropy_rate,
     "value": json.loads(out.getvalue())["value"],
     "shared": transport.linprog is set_chain.linprog is _entropic.linprog,
 }))
@@ -212,17 +219,22 @@ def test_lp_solver_loads_at_the_first_lp(example_chain_path):
     envelope, a functional bound and a Dirac-centre simulation load no
     scipy module and no ``numpy.ma``; the first rate program, a
     Dirac-centre one, loads scipy's sparse and linalg modules but not its
-    LP solver, and reports the worked robust rate."""
+    LP solver, and reports the worked robust rate.  A nominal (Entropy)
+    rate on a kernel with full support has no support mask, so it starts
+    the barrier in closed form and still loads no LP solver."""
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    euclid7 = str(REPO_ROOT / "examples" / "euclid7_chain.json")
     proc = subprocess.run(
-        [sys.executable, "-c", LAZY_LP_PROBE, example_chain_path],
+        [sys.executable, "-c", LAZY_LP_PROBE, example_chain_path, euclid7],
         env=env, capture_output=True, text=True, check=True,
     )
     doc = json.loads(proc.stdout)
     numpy_only = ("import", "check", "envelope", "robust_functional_bound", "simulate_paths")
     assert {k: doc["loaded"][k] for k in numpy_only} == {k: [] for k in numpy_only}
     assert doc["loaded"]["rate"] == ["scipy.linalg", "scipy.sparse"]
-    assert doc["codes"] == [0, 0, 0, 0]
+    assert doc["loaded"]["entropy_rate"] is False
+    assert doc["codes"] == [0, 0, 0, 0, 0]
+    assert doc["entropy_rate"] > 0.0
     assert 0.0 < doc["bound"] < 1.0
     assert doc["lengths"] == [10, 20]
     assert doc["rate"] == pytest.approx(0.0511, abs=0.002)

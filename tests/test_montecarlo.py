@@ -9,9 +9,11 @@ from robust_ldp import (
     BallSet,
     ChainSpec,
     Dist,
+    Kernel,
     MetricSpace,
     RateEstimate,
     SimPlan,
+    ValidationError,
     compare_rates,
     simulate_paths,
     tail_rate,
@@ -113,6 +115,19 @@ def test_plan_validation(example_spec, example_ball):
         )
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -0.1])
+def test_bad_play_kernel_is_rejected(example_spec, example_ball, entry):
+    # A play kernel with a non-finite or negative entry is an error naming
+    # its row, never a count of hits.  Row sums are not checked: a
+    # converged worst-case row can miss 1 by about 1e-4.
+    rows = example_spec.kernel.rows.copy()
+    rows[1, 0] = entry
+    plan = SimPlan(example_spec, Kernel(rows), example_ball, (10,), 100, 1)
+    with pytest.raises(ValidationError) as info:
+        simulate_paths(plan, threads=1)
+    assert [v.path for v in info.value.violations] == ["play_kernel[1]"]
+
+
 def test_all_zero_hits_unusable(example_space):
     # A chain glued to state 1 never reaches the ball around state 3.
     spec = ChainSpec.build(example_space, [1.0, 0.0, 0.0], np.eye(3), 0.0)
@@ -167,6 +182,22 @@ def test_compare_rates_rules():
         est.fit_lengths, True, "ok",
     )
     assert compare_rates(0.0, off_zero, 0.2).status == "fail"
+
+
+@pytest.mark.parametrize("rel_tol", [np.nan, np.inf, -np.inf, -1.0])
+def test_compare_rates_rejects_a_bad_tolerance(rel_tol):
+    # A verdict from a NaN or negative tolerance would be a "fail" with a
+    # meaningless margin; it is an error naming rel_tol instead, also when
+    # the estimate is unusable.
+    for usable in (True, False):
+        est = RateEstimate(
+            np.array([40, 60]), np.array([100, 50]), np.array([0.01, 0.005]), 0.085, 0.004,
+            np.array([40, 60]), np.array([40, 60]), usable, "ok",
+        )
+        with pytest.raises(ValidationError) as info:
+            compare_rates(0.0910, est, rel_tol)
+        assert info.value.violations[0].path == "rel_tol"
+    assert compare_rates(0.0910, est, 0.0).status == "insufficient data"
 
 
 def test_slope_matches_analytic_at_small_scale(example_spec, example_ball):

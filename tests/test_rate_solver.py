@@ -12,6 +12,7 @@ from robust_ldp import (
     ChainSpec,
     Dist,
     MetricSpace,
+    SimPlan,
     ValidationError,
     ball_membership,
     minimal_rate,
@@ -20,6 +21,7 @@ from robust_ldp import (
     rel_entropy,
     robust_functional_bound,
     sharpness_check,
+    simulate_paths,
     stationary,
     tail_rate,
     w1,
@@ -533,16 +535,19 @@ def test_nonvacuous_on_both_sides_of_kappa_star(example_spec):
 
 
 def test_ac_on_full_support_is_the_robust_entropy_program(example_spec, example_ball, monkeypatch):
-    # On a kernel with full support the AC restriction excludes nothing, so
-    # RobustEntropyAC reports equal the RobustEntropy ones, bit for bit, and
-    # need no phase-one LP.
+    # Only a support mask sends the barrier to phase one.  On a kernel with
+    # full support the AC restriction excludes nothing, so RobustEntropyAC
+    # reports equal the RobustEntropy ones, bit for bit; Entropy has no
+    # mask there either, and RobustEntropy at r = 0 is its program.
     def no_lp(*args, **kwargs):
         raise AssertionError("a linear program was solved")
 
     monkeypatch.setattr(_entropic, "linprog", no_lp)
-    # The worked example's pi(3, 1) = 0, so AC still starts from phase one.
-    with pytest.raises(AssertionError, match="linear program"):
-        tail_rate(example_spec, example_ball, Variant.ROBUST_ENTROPY_AC)
+    # The worked example's pi(3, 1) = 0, so AC and Entropy still start
+    # from phase one.
+    for model in (Variant.ROBUST_ENTROPY_AC, Variant.ENTROPY):
+        with pytest.raises(AssertionError, match="linear program"):
+            tail_rate(example_spec, example_ball, model)
     chains = dirac_threshold_chains()[:12]
     rng = np.random.default_rng(3636)
     for spec, _ in chains:
@@ -552,15 +557,22 @@ def test_ac_on_full_support_is_the_robust_entropy_program(example_spec, example_
         plain = rate_at(spec, nu, Variant.ROBUST_ENTROPY)
         assert plain.converged and plain.value > 0.0
         assert rate_at(spec, nu, Variant.ROBUST_ENTROPY_AC) == plain
+        nominal = rate_at(spec, nu, Variant.ENTROPY)
+        assert nominal.converged and nominal.value > 0.0
     for module in (set_chain, transport):
         monkeypatch.setattr(module, "linprog", no_lp)
     for spec, s in chains:
-        value, _, _ = kappa_star(spec, Variant.ROBUST_ENTROPY, s)
-        for kappa in (0.5 * value, value * (1 + 1e-6)):
-            ball = BallSet(Dist.dirac(s, spec.space.n), kappa)
-            plain = tail_rate(spec, ball, Variant.ROBUST_ENTROPY)
-            assert plain.converged
-            assert tail_rate(spec, ball, Variant.ROBUST_ENTROPY_AC) == plain
+        twins = (
+            (Variant.ROBUST_ENTROPY, spec, Variant.ROBUST_ENTROPY_AC),
+            (Variant.ENTROPY, spec.with_radius(0.0), Variant.ROBUST_ENTROPY),
+        )
+        for model, twin_spec, twin in twins:
+            value, _, _ = kappa_star(spec, model, s)
+            for kappa in (0.5 * value, value * (1 + 1e-6)):
+                ball = BallSet(Dist.dirac(s, spec.space.n), kappa)
+                report = tail_rate(spec, ball, model)
+                assert report.converged
+                assert tail_rate(twin_spec, ball, twin) == report
 
 
 def lln_rate_pairs(seed=2020):
@@ -611,6 +623,10 @@ ENTRY_POINTS = {
     "nonvacuous": nonvacuous,
     "worst_case_kernel": worst_case_kernel,
     "rate_at": lambda spec, ball: rate_at(spec, ball.center),
+    "simulate_paths": lambda spec, ball: simulate_paths(
+        SimPlan(spec, spec.kernel, ball, (10,), 100, 1), threads=1
+    ),
+    "ball_membership": lambda spec, ball: ball_membership(spec.space, spec.pi0, ball),
 }
 
 
@@ -626,7 +642,8 @@ ENTRY_POINTS = {
 def test_bad_ball_or_law_is_rejected(example_spec, entry, case):
     # A radius that is not a finite number >= 0, or a centre (for rate_at,
     # a law) that is not a probability vector, is an error naming its
-    # path, never a rate reported as converged.
+    # path, never a rate reported as converged, a count of hits or a
+    # membership verdict.
     center, kappa, path = BAD_BALLS[case]
     if entry == "rate_at":
         path = path.replace("center", "nu")

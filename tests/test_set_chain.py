@@ -248,6 +248,23 @@ def test_sparse_rows_match_dense_oracle():
                             assert np.array_equal(b, rhs)
 
 
+def test_start_is_strictly_feasible_without_a_mask():
+    """``start()`` is a strictly positive solution of the equalities on
+    every polytope shape that a rate program builds without a mask (free
+    law in a target ball, or fixed law; r = 0 and r > 0), and None under
+    a mask, where phase one finds the start."""
+    for spec, ball, fixed in polytope_chains():
+        for radius in (0.0, spec.radius):
+            for target, law in ((ball, None), (None, fixed)):
+                poly = InvariantPolytope(spec, None, radius, target, law)
+                z0 = poly.start()
+                a, b = poly.equalities()
+                assert z0.shape == (poly.count,) and z0.min() > 0.0
+                assert np.max(np.abs(a @ z0 - b)) <= 1e-12
+                mask = spec.kernel.rows > MASS_ZERO
+                assert InvariantPolytope(spec, mask, radius, target, law).start() is None
+
+
 def _dense_lp(poly, c):
     a, b = dense_polytope_rows(poly, ball_rows=True)
     res = linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs", options=LP_OPTIONS)

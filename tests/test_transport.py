@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from robust_ldp import BallSet, Dist, MetricSpace, ball_membership, w1
+from robust_ldp import BallSet, Dist, MetricSpace, ValidationError, ball_membership, beta, w1
+from robust_ldp.divergence import DivergenceModel, Variant
 import robust_ldp.transport as transport
 from robust_ldp.transport import BALL_ATOL, dual_value, in_ball
 
@@ -31,6 +32,27 @@ def test_two_point_value():
     value, _, _ = w1(space, mu, nu)
     assert value == pytest.approx(w1_two_point_enumeration(1.0, mu.p, nu.p), abs=1e-12)
     assert value == pytest.approx(0.2, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "mu, nu, path",
+    [
+        ([1.0, 1.0, 1.0], [0.0, 0.0, 1.0], "mu"),
+        ([0.0, 0.0, 1.0], [0.5, 0.5, 0.5], "nu"),
+        ([np.nan, 0.5, 0.5], [0.0, 0.0, 1.0], "mu[0]"),
+        ([0.0, 0.0, 1.0], [0.5, np.inf, 0.5], "nu[1]"),
+        ([0.0, 0.0, 1.0], [1.5, -0.5, 0.0], "nu[1]"),
+    ],
+)
+def test_w1_rejects_marginals_that_are_not_laws(example_space, mu, nu, path):
+    # The transport LP is infeasible for unequal masses and fails on NaN;
+    # both are input errors naming the marginal, and beta inherits them.
+    with pytest.raises(ValidationError) as info:
+        w1(example_space, Dist(np.array(mu)), Dist(np.array(nu)))
+    assert info.value.violations[0].path == path
+    model = DivergenceModel(Variant.BALL_INDICATOR, 0.1)
+    with pytest.raises(ValidationError):
+        beta(example_space, Dist(np.array(nu)), Dist(np.array(mu)), model)
 
 
 def test_w1_to_dirac_with_tiny_masses():
